@@ -53,18 +53,11 @@ class RemoteCachingScheme:
         Returns True when the line is served locally.
         """
         self.remote_lookups += 1
-        line = paddr // self.cache.line_size
-        entries = self.cache._set_of(line)
-        if line in entries:
-            entries.move_to_end(line)
-            self.cache.hits += 1
+        if self.cache.lookup(paddr):
             self.remote_hits += 1
             return True
-        self.cache.misses += 1
         if self.should_insert(paddr):
-            if len(entries) >= self.cache.ways:
-                entries.popitem(last=False)
-            entries[line] = True
+            self.cache.fill(paddr)
         return False
 
     @property

@@ -125,17 +125,6 @@ class GPUConfig:
         """Per-chiplet L2 capacity after footprint scaling (min 16 lines)."""
         return max(self.l2_cache_bytes // self.scale, 16 * self.cache_line)
 
-    @property
-    def scaled_l1_cache_bytes(self) -> int:
-        """Aggregate per-chiplet L1 capacity after scaling.
-
-        Per-SM L1s are modelled as one per-chiplet aggregate (the trace
-        interleaves all SMs of a chiplet); its capacity is the sum of the
-        per-SM L1s, scaled.
-        """
-        total = self.l1_cache_bytes * self.sms_per_chiplet
-        return max(total // self.scale, 16 * self.cache_line)
-
     #: Per-SM L1 TLBs are private, so SMs hold duplicate entries for
     #: shared pages; the aggregate per-chiplet model discounts the summed
     #: capacity by this factor to account for that replication.

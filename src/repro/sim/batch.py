@@ -6,13 +6,16 @@ pays interpreter dispatch for work that is, in the steady state, pure
 array arithmetic.  This module partitions each chunk of the trace into
 *steady-state windows* — maximal runs of accesses whose pages are
 already mapped, which cross no epoch or kernel boundary and trigger no
-policy callback — and replays each window with NumPy array ops plus a
-tightly fused Python loop over precomputed lists:
+policy callback — and replays each chunk in two passes.  Pass 1 (the
+windows, the scalar fallback and the fault path) handles faults,
+translation and accounting and only *records* each access's physical
+address and home chiplet; pass 2, ``data_pass``, then replays the whole
+chunk's data path with NumPy:
 
 * **page-base derivation and classification** — one ``np.unique`` over
   the chunk's granule-page keys, one page-table lookup per unique page,
-  and vectorized physical address / home-chiplet / set-index / DRAM-row
-  derivation for every window access from the per-unique arrays;
+  and vectorized physical address / home-chiplet derivation for every
+  window access from the per-unique arrays;
 * **translation** — per-requester run-length compression over
   translation units: the *head* of each run performs the exact
   single-size-class translation sequence (TLB lookups and inserts,
@@ -21,23 +24,25 @@ tightly fused Python loop over precomputed lists:
   bulk-accounted as guaranteed L1 TLB hits (the head leaves the entry
   present, valid-bit set and MRU, and no other access of that
   requester intervenes within the run);
-* **data path** — a fused loop in global access order over pre-derived
-  lists (L1 -> remote cache -> ring -> home L2 -> DRAM), mutating the
-  live LRU structures directly and flushing window-local counters into
-  the machine at window end;
+* **data path** — level by level over the recorded chunk (L1 ->
+  remote cache -> ring -> home L2 -> DRAM): each cache level is one
+  bulk LRU replay (:func:`~repro.cache.cache.replay_lines`) over the
+  references the previous level missed, the ring is a ``bincount``
+  over requester/home pairs, and DRAM row hits come from each
+  channel's previous row;
 * **accounting** — ``np.bincount`` reductions for per-structure and
   per-page statistics, preserving first-touch insertion order of the
   page-stats dict (policies may iterate it).
 
 Anything that is not steady state is replayed exactly, one access at a
 time: faults resolve through the staged ``FaultStage.process`` (which
-also enriches exhaustion errors), the faulting access's translation,
-data and accounting then run through the same inlined sequences the
-windows use (identical operation order, no staged-closure dispatch),
-and epoch/kernel callbacks fire at chunk boundaries only (chunks are
-clipped so boundaries never fall inside a window).  Telemetry-
-instrumented and multi-page-TLB runs use the staged pipeline entirely
-(see :mod:`repro.sim.engine`).
+also enriches exhaustion errors), the faulting access's translation
+and accounting then run through the same inlined sequences the windows
+use (identical operation order, no staged-closure dispatch), and
+epoch/kernel callbacks fire at chunk boundaries only, after the data
+pass (chunks are clipped so boundaries never fall inside a window).
+Telemetry-instrumented and multi-page-TLB runs use the staged pipeline
+entirely (see :mod:`repro.sim.engine`).
 
 **The vectorized fault path** (``batch_faults``): when the policy opts
 in via ``fault_batch_size()`` (a contract promise that ``place`` is a
@@ -91,7 +96,13 @@ replaying it access-major; run tails are provably L1 TLB hits with zero
 latency; and every counter flush is integer-exact.  The page table's
 ``generation``/event log guarantees staleness is *detected* rather than
 assumed away: any mutation between windows re-resolves exactly the
-affected page keys.
+affected page keys.  Inside a chunk only the data pass touches the
+caches, ring and DRAM, and each cache set depends only on its own
+references, so replaying the chunk level by level equals the staged
+per-access interleaving.  The one other writer, the migration flush
+(``Machine.flush_data_caches_range``), first drains the recorded
+accesses through the data pass (``Machine.data_drain``), and a chunk
+that aborts drains its recorded prefix before the error propagates.
 """
 
 from __future__ import annotations
@@ -103,6 +114,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..arch.address import FINE_INTERLEAVE, InterleavePolicy
+from ..cache.cache import replay_lines
 from ..cache.remote_cache import RemoteCachingScheme
 from ..gmmu.walker import (
     _LEVEL_SPANS,
@@ -226,36 +238,26 @@ class BatchedPipeline:
         cpc = machine.layout.channels_per_chiplet
         naive = state.interleave is InterleavePolicy.NAIVE
 
-        l1_sets = [c._sets for c in l1_caches]
-        l2_sets = [c._sets for c in l2_caches]
-        l1_ns = l1_caches[0].num_sets
-        l2_ns = l2_caches[0].num_sets
-        l1_ways = l1_caches[0].ways
-        l2_ways = l2_caches[0].ways
         use_rc = remote_caches is not None
         if use_rc:
-            rc_sets = [rc.cache._sets for rc in remote_caches]
-            rc_ns = remote_caches[0].cache.num_sets
-            rc_ways = remote_caches[0].cache.ways
+            rc_caches = [rc.cache for rc in remote_caches]
             rc_insert_all = (
                 type(remote_caches[0]).should_insert
                 is RemoteCachingScheme.should_insert
             )
-        else:
-            rc_sets = None
-            rc_ns = 1
-            rc_ways = 0
-            rc_insert_all = True
 
         hops_tab = [[ring.hops(s, d) for d in range(nc)] for s in range(nc)]
-        ring_traffic = ring.traffic_bytes
-        ring_traffic_get = ring_traffic.get
-        rcost_np = 2 * ring.hop_cycles * np.array(hops_tab, dtype=np.int64)
-        rcost_tab = [[2 * ring.hop_cycles * h for h in row]
-                     for row in hops_tab]
+        #: rcost_pair[home * nc + requester]: ring cycles of one remote
+        #: line fetch (request and response traversals).
+        rcost_pair = (
+            2 * ring.hop_cycles * np.array(hops_tab, dtype=np.int64)
+        ).T.reshape(-1)
         open_row = dram._open_row
         open_row_get = open_row.get
         ch_accesses = dram.channel_accesses
+        #: Channel ids fit 16 bits on every modelled machine, which
+        #: lets the data pass group DRAM accesses with a radix sort.
+        channel_dtype = np.int16 if dram.num_channels <= 1 << 15 else np.int64
         row_hit_c = dram.row_hit_cycles
         row_miss_c = dram.row_miss_cycles
 
@@ -481,6 +483,105 @@ class BatchedPipeline:
         acc_epoch_accesses = 0
         fast_accesses = 0
 
+        def data_pass(
+            ch: np.ndarray, pd: np.ndarray, hm: np.ndarray
+        ) -> None:
+            """Replay recorded accesses through the data path (pass 2).
+
+            ``DataStage.process`` per access, level by level: the
+            requester L1s, the remote caches, the ring, the home L2s
+            and DRAM.  Each level sees exactly the references the
+            staged engine sends it, in the same order per cache, per
+            remote-cache filter and per DRAM channel, so its state and
+            counters come out identical (DESIGN.md section 7).
+            """
+            nonlocal vec_data, vec_on_ring
+            line = pd // line_size
+            served = replay_lines(l1_caches, ch, line)
+            cycles = l1_latency * int(np.count_nonzero(served))
+            remote = hm != ch
+            if use_rc:
+                look = np.flatnonzero(remote & ~served)
+                if look.size:
+                    rch = ch[look]
+                    if rc_insert_all:
+                        rc_hit = replay_lines(rc_caches, rch, line[look])
+                        rc_lookups = np.bincount(rch, minlength=nc).tolist()
+                        rc_hits = np.bincount(
+                            rch[rc_hit], minlength=nc
+                        ).tolist()
+                        for c in range(nc):
+                            remote_caches[c].remote_lookups += rc_lookups[c]
+                            remote_caches[c].remote_hits += rc_hits[c]
+                    else:
+                        # A reuse filter (SAC) depends on lookup order:
+                        # each chiplet's lookups run in trace order.
+                        rc_hit = np.array(
+                            [
+                                remote_caches[c].access(p)
+                                for c, p in zip(
+                                    rch.tolist(), pd[look].tolist()
+                                )
+                            ],
+                            dtype=bool,
+                        )
+                    served[look[rc_hit]] = True
+                    cycles += l2_latency * int(np.count_nonzero(rc_hit))
+            miss = np.flatnonzero(~served)
+            if not miss.size:
+                vec_data += cycles
+                return
+            home = hm[miss]
+            ring_pairs = (home * nc + ch[miss])[remote[miss]]
+            if ring_pairs.size:
+                pair_counts = np.bincount(ring_pairs, minlength=nc * nc)
+                cycles += int(pair_counts @ rcost_pair)
+                traffic = ring.traffic_bytes
+                for p in np.flatnonzero(pair_counts).tolist():
+                    src, dst = divmod(p, nc)
+                    nbytes = _TRANSFER_BYTES * int(pair_counts[p])
+                    traffic[(src, dst)] = traffic.get((src, dst), 0) + nbytes
+                    ring.total_bytes += nbytes
+                    ring.hop_bytes += hops_tab[src][dst] * nbytes
+                vec_on_ring += ring_pairs.size
+            l2_hit = replay_lines(l2_caches, home, line[miss])
+            cycles += l2_latency * miss.size
+            to_dram = miss[~l2_hit]
+            if to_dram.size:
+                dpd = pd[to_dram]
+                channel = hm[to_dram] * cpc + (dpd // FINE_INTERLEAVE) % cpc
+                row = dpd // ROW_SIZE
+                # Per channel in trace order: a row hit is a repeat of
+                # the channel's previous row (or of its open row).
+                order = np.argsort(
+                    channel.astype(channel_dtype), kind="stable"
+                )
+                cs = channel[order]
+                rs = row[order]
+                starts = np.empty(cs.size, dtype=bool)
+                starts[0] = True
+                np.not_equal(cs[1:], cs[:-1], out=starts[1:])
+                prev = np.empty_like(rs)
+                prev[1:] = rs[:-1]
+                first = np.flatnonzero(starts)
+                firsts = cs[first].tolist()
+                prev[first] = [open_row_get(cn, -1) for cn in firsts]
+                row_hits = int(np.count_nonzero(rs == prev))
+                dram.accesses += to_dram.size
+                dram.row_hits += row_hits
+                ends = np.append(first[1:], cs.size)
+                for cn, lo, hi, rw in zip(
+                    firsts, first.tolist(), ends.tolist(),
+                    rs[ends - 1].tolist(),
+                ):
+                    ch_accesses[cn] += hi - lo
+                    open_row[cn] = rw
+                cycles += (
+                    row_hit_c * row_hits
+                    + row_miss_c * (to_dram.size - row_hits)
+                )
+            vec_data += cycles
+
         def scalar_one(
             i: int,
             # Default-bound bindings: local loads in the body instead of
@@ -489,51 +590,25 @@ class BatchedPipeline:
             vaddrs=vaddrs,
             paths=paths,
             tlb_pairs=tlb_pairs,
-            l1_sets=l1_sets,
-            l1_ns=l1_ns,
-            l1_ways=l1_ways,
-            l1_caches=l1_caches,
-            l2_sets=l2_sets,
-            l2_ns=l2_ns,
-            l2_ways=l2_ways,
-            l2_caches=l2_caches,
-            l1_latency=l1_latency,
-            l2_latency=l2_latency,
             l2_tlb_latency=l2_tlb_latency,
-            use_rc=use_rc,
-            remote_caches=remote_caches,
-            rc_sets=rc_sets,
-            rc_ns=rc_ns,
-            rc_ways=rc_ways,
-            rc_insert_all=rc_insert_all,
-            rcost_tab=rcost_tab,
-            hops_tab=hops_tab,
-            ring_traffic=ring_traffic,
-            ring_traffic_get=ring_traffic_get,
-            open_row=open_row,
-            open_row_get=open_row_get,
-            ch_accesses=ch_accesses,
-            row_hit_c=row_hit_c,
-            row_miss_c=row_miss_c,
             per_structure=per_structure,
             naive=naive,
             nc=nc,
-            line_size=line_size,
-            cpc=cpc,
             wants_stats=wants_stats,
-        ) -> None:
+        ) -> Tuple[int, int]:
             """One access through the exact staged fault stage, with
-            translation / data / accounting inlined.
+            translation and accounting inlined; returns the access's
+            physical address and home chiplet for the data pass.
 
             ``FaultStage.process`` runs unmodified (fault buffering,
             policy placement, error enrichment); the rest mirrors
-            ``TranslationStage.process`` / ``DataStage.process``
-            statement for statement — including passing the *raw* vaddr
-            to the page walker, which the staged stage does too — so
-            fault-path accesses stay bit-identical without paying the
-            staged closures' dispatch and allocation overhead.
+            ``TranslationStage.process`` statement for statement —
+            including passing the *raw* vaddr to the page walker, which
+            the staged stage does too — so fault-path accesses stay
+            bit-identical without paying the staged closures' dispatch
+            and allocation overhead.
             """
-            nonlocal vec_translation, vec_data, vec_on_ring
+            nonlocal vec_translation
             nonlocal acc_remote_placement, acc_epoch_remote
             nonlocal acc_epoch_accesses
             c = int(chiplets[i])
@@ -616,76 +691,12 @@ class BatchedPipeline:
                         es[tag] = TLBEntry(tag, coverage, mask)
                     vec_translation += l2_tlb_latency + walk_latency
 
-            # -- data path (DataStage.process, inlined) --
             pd = rec.paddr + (va - rec.va_base)
             if naive:
                 hm = (pd // FINE_INTERLEAVE) % nc
             else:
                 hm = rec.chiplet
             rm = hm != c
-            ln = pd // line_size
-            h = ((ln * 0x9E3779B1) & 0xFFFFFFFF) >> 16
-            entries = l1_sets[c][h % l1_ns]
-            if ln in entries:
-                entries.move_to_end(ln)
-                l1_caches[c].hits += 1
-                vec_data += l1_latency
-            else:
-                l1_caches[c].misses += 1
-                if len(entries) >= l1_ways:
-                    entries.popitem(last=False)
-                entries[ln] = True
-                served_remote = False
-                if rm and use_rc:
-                    rc = remote_caches[c]
-                    rc.remote_lookups += 1
-                    entries = rc_sets[c][h % rc_ns]
-                    if ln in entries:
-                        entries.move_to_end(ln)
-                        rc.cache.hits += 1
-                        rc.remote_hits += 1
-                        vec_data += l2_latency
-                        served_remote = True
-                    else:
-                        rc.cache.misses += 1
-                        if rc_insert_all or rc.should_insert(pd):
-                            if len(entries) >= rc_ways:
-                                entries.popitem(last=False)
-                            entries[ln] = True
-                if not served_remote:
-                    cost = 0
-                    if rm:
-                        cost = rcost_tab[c][hm]
-                        key = (hm, c)
-                        ring_traffic[key] = (
-                            ring_traffic_get(key, 0) + _TRANSFER_BYTES
-                        )
-                        ring.total_bytes += _TRANSFER_BYTES
-                        ring.hop_bytes += (
-                            hops_tab[hm][c] * _TRANSFER_BYTES
-                        )
-                        vec_on_ring += 1
-                    entries = l2_sets[hm][h % l2_ns]
-                    if ln in entries:
-                        entries.move_to_end(ln)
-                        l2_caches[hm].hits += 1
-                        cost += l2_latency
-                    else:
-                        l2_caches[hm].misses += 1
-                        if len(entries) >= l2_ways:
-                            entries.popitem(last=False)
-                        entries[ln] = True
-                        cn = hm * cpc + (pd // FINE_INTERLEAVE) % cpc
-                        rw = pd // ROW_SIZE
-                        dram.accesses += 1
-                        ch_accesses[cn] += 1
-                        if open_row_get(cn) == rw:
-                            dram.row_hits += 1
-                            cost += l2_latency + row_hit_c
-                        else:
-                            open_row[cn] = rw
-                            cost += l2_latency + row_miss_c
-                    vec_data += cost
 
             # -- accounting (AccountingStage.process, inlined) --
             stats = per_structure[rec.alloc_id]
@@ -703,13 +714,16 @@ class BatchedPipeline:
                     counts = [0] * nc
                     page_stats[page_base] = counts
                 counts[c] += 1
+            return pd, hm
 
         def run_chunk(start: int, end: int) -> None:  # noqa: C901
-            nonlocal vec_translation, vec_data, vec_on_ring
-            nonlocal acc_remote_placement, acc_epoch_remote
-            nonlocal acc_epoch_accesses, fast_accesses
+            nonlocal fast_accesses
 
             m = end - start
+            #: Pass 1 records each access's physical address and home
+            #: chiplet here; the data pass replays them.
+            pd_buf = np.empty(m, dtype=np.int64)
+            hm_buf = np.empty(m, dtype=np.int64)
             # Pure-trace-derived chunk arrays: shareable across cells
             # replaying the same trace at the same granule (the fused
             # sweep engine passes ``prep``); everything below is only
@@ -906,30 +920,9 @@ class BatchedPipeline:
                     es[tag] = TLBEntry(tag, coverage, mask)
                 return l2_tlb_latency + walk_latency
 
-            def vec_window(
-                a: int,
-                b: int,
-                # Default-bound hot bindings (local loads in the fused
-                # data loop instead of closure-cell dereferences).
-                l1_sets=l1_sets,
-                l1_ways=l1_ways,
-                l1_latency=l1_latency,
-                l2_sets=l2_sets,
-                l2_ways=l2_ways,
-                l2_latency=l2_latency,
-                use_rc=use_rc,
-                rc_sets=rc_sets,
-                rc_ways=rc_ways,
-                rc_insert_all=rc_insert_all,
-                remote_caches=remote_caches,
-                open_row=open_row,
-                open_row_get=open_row_get,
-                ch_accesses=ch_accesses,
-                row_hit_c=row_hit_c,
-                row_miss_c=row_miss_c,
-            ) -> None:
+            def vec_window(a: int, b: int) -> None:
                 """Replay resolved accesses ``[start+a, start+b)``."""
-                nonlocal vec_translation, vec_data, vec_on_ring
+                nonlocal vec_translation
                 nonlocal acc_remote_placement, acc_epoch_remote
                 nonlocal acc_epoch_accesses, vec_arrays
 
@@ -952,11 +945,8 @@ class BatchedPipeline:
                 else:
                     home = homec_np[inv_seg]
                 remote = home != ch_seg
-                line = paddr // line_size
-                hashed = (
-                    line.astype(np.uint64) * np.uint64(0x9E3779B1)
-                    & np.uint64(0xFFFFFFFF)
-                ) >> np.uint64(16)
+                pd_buf[a:b] = paddr
+                hm_buf[a:b] = home
 
                 # -- translation: per-requester run compression --
                 tcyc = 0
@@ -974,8 +964,7 @@ class BatchedPipeline:
                         np.append(head_pos, useq.size)
                     ).tolist()
                     path = paths[c]
-                    for hp, rl in zip(head_pos.tolist(), run_lens):
-                        j = int(useq[hp])
+                    for j, rl in zip(useq[head_pos].tolist(), run_lens):
                         tcyc += translate_head(c, j)
                         if rl > 1:
                             # The head left the L1 TLB entry present,
@@ -986,114 +975,6 @@ class BatchedPipeline:
                             tlb_pairs[(c, units[j][3])][0].hits += tails
                             path.l1_hits += tails
                 vec_translation += tcyc
-
-                # -- data path: fused loop in global order --
-                ch_l = ch_seg.tolist()
-                pd_l = paddr.tolist()
-                ln_l = line.tolist()
-                hm_l = home.tolist()
-                rm_l = remote.tolist()
-                i1_l = (hashed % np.uint64(l1_ns)).tolist()
-                i2_l = (hashed % np.uint64(l2_ns)).tolist()
-                ri_l = (hashed % np.uint64(rc_ns)).tolist()
-                cn_l = (
-                    home * cpc + (paddr // FINE_INTERLEAVE) % cpc
-                ).tolist()
-                rw_l = (paddr // ROW_SIZE).tolist()
-                co_l = rcost_np[ch_seg, home].tolist()
-                pr_l = (home * nc + ch_seg).tolist()
-
-                dc = 0
-                ror = 0
-                l1_hit = [0] * nc
-                l1_miss = [0] * nc
-                l2_hit = [0] * nc
-                l2_miss = [0] * nc
-                rc_look = [0] * nc
-                rc_hit = [0] * nc
-                rc_miss = [0] * nc
-                pair_counts = [0] * (nc * nc)
-                dram_acc = 0
-                dram_rh = 0
-
-                for c, pd, ln, hm, rm, i1, i2, ri, cn, rw, co, pr in zip(
-                    ch_l, pd_l, ln_l, hm_l, rm_l, i1_l, i2_l, ri_l,
-                    cn_l, rw_l, co_l, pr_l,
-                ):
-                    entries = l1_sets[c][i1]
-                    if ln in entries:
-                        entries.move_to_end(ln)
-                        l1_hit[c] += 1
-                        dc += l1_latency
-                        continue
-                    l1_miss[c] += 1
-                    if len(entries) >= l1_ways:
-                        entries.popitem(last=False)
-                    entries[ln] = True
-                    if rm and use_rc:
-                        rc_look[c] += 1
-                        entries = rc_sets[c][ri]
-                        if ln in entries:
-                            entries.move_to_end(ln)
-                            rc_hit[c] += 1
-                            dc += l2_latency
-                            continue
-                        rc_miss[c] += 1
-                        if rc_insert_all or remote_caches[c].should_insert(
-                            pd
-                        ):
-                            if len(entries) >= rc_ways:
-                                entries.popitem(last=False)
-                            entries[ln] = True
-                    cost = 0
-                    if rm:
-                        cost = co
-                        pair_counts[pr] += 1
-                        ror += 1
-                    entries = l2_sets[hm][i2]
-                    if ln in entries:
-                        entries.move_to_end(ln)
-                        l2_hit[hm] += 1
-                        cost += l2_latency
-                    else:
-                        l2_miss[hm] += 1
-                        if len(entries) >= l2_ways:
-                            entries.popitem(last=False)
-                        entries[ln] = True
-                        dram_acc += 1
-                        ch_accesses[cn] += 1
-                        if open_row_get(cn) == rw:
-                            dram_rh += 1
-                            cost += l2_latency + row_hit_c
-                        else:
-                            open_row[cn] = rw
-                            cost += l2_latency + row_miss_c
-                    dc += cost
-
-                vec_data += dc
-                vec_on_ring += ror
-                for c in range(nc):
-                    l1_caches[c].hits += l1_hit[c]
-                    l1_caches[c].misses += l1_miss[c]
-                    l2_caches[c].hits += l2_hit[c]
-                    l2_caches[c].misses += l2_miss[c]
-                    if use_rc:
-                        rc = remote_caches[c]
-                        rc.remote_lookups += rc_look[c]
-                        rc.remote_hits += rc_hit[c]
-                        rc.cache.hits += rc_hit[c]
-                        rc.cache.misses += rc_miss[c]
-                dram.accesses += dram_acc
-                dram.row_hits += dram_rh
-                traffic = ring.traffic_bytes
-                for p, cnt in enumerate(pair_counts):
-                    if not cnt:
-                        continue
-                    src, dst = divmod(p, nc)
-                    nbytes = _TRANSFER_BYTES * cnt
-                    traffic[(src, dst)] = traffic.get((src, dst), 0) + nbytes
-                    ring.total_bytes += nbytes
-                    ring.hop_bytes += hops_tab[src][dst] * nbytes
 
                 # -- accounting: bincount reductions --
                 aid_seg = alloc_np[inv_seg]
@@ -1137,58 +1018,33 @@ class BatchedPipeline:
             def small_window(
                 a: int,
                 b: int,
-                # Default-bound hot bindings, as in ``vec_window``.
+                # Default-bound hot bindings (local loads in the loop
+                # instead of closure-cell dereferences).
                 ch_list=ch_list,
                 va_list=va_list,
                 inv_list=inv_list,
                 paths=paths,
                 tlb_pairs=tlb_pairs,
-                l1_sets=l1_sets,
-                l1_ns=l1_ns,
-                l1_ways=l1_ways,
-                l1_caches=l1_caches,
-                l2_sets=l2_sets,
-                l2_ns=l2_ns,
-                l2_ways=l2_ways,
-                l2_caches=l2_caches,
-                l1_latency=l1_latency,
-                l2_latency=l2_latency,
-                use_rc=use_rc,
-                remote_caches=remote_caches,
-                rc_sets=rc_sets,
-                rc_ns=rc_ns,
-                rc_ways=rc_ways,
-                rc_insert_all=rc_insert_all,
-                rcost_tab=rcost_tab,
-                hops_tab=hops_tab,
-                ring_traffic=ring_traffic,
-                ring_traffic_get=ring_traffic_get,
-                open_row=open_row,
-                open_row_get=open_row_get,
-                ch_accesses=ch_accesses,
-                row_hit_c=row_hit_c,
-                row_miss_c=row_miss_c,
                 per_structure=per_structure,
                 naive=naive,
                 nc=nc,
-                line_size=line_size,
-                cpc=cpc,
                 wants_stats=wants_stats,
             ) -> None:
                 """Fused scalar replay of resolved accesses [a, b).
 
                 Exactly the semantics of ``vec_window`` — run-compressed
-                translation, inlined data path, per-access accounting —
-                but in plain Python, so short fault-to-fault runs (the
-                first-touch wave of a workload faults every handful of
-                accesses) skip both the staged closures' dispatch cost
-                and the fixed NumPy setup of a vectorized window.
+                translation, recorded physical addresses and homes,
+                per-access accounting — but in plain Python, so short
+                fault-to-fault runs (the first-touch wave of a workload
+                faults every handful of accesses) skip the fixed NumPy
+                setup of a vectorized window.
                 """
-                nonlocal vec_translation, vec_data, vec_on_ring
+                nonlocal vec_translation
                 nonlocal acc_remote_placement, acc_epoch_remote
                 nonlocal acc_epoch_accesses
                 tcyc = 0
-                dc = 0
+                pds = []
+                hms = []
                 last_j = [-1] * nc
                 last_aid = -1
                 stats = None
@@ -1217,73 +1073,8 @@ class BatchedPipeline:
                     else:
                         hm = rec.chiplet
                     rm = hm != c
-                    ln = pd // line_size
-                    h = ((ln * 0x9E3779B1) & 0xFFFFFFFF) >> 16
-                    entries = l1_sets[c][h % l1_ns]
-                    if ln in entries:
-                        entries.move_to_end(ln)
-                        l1_caches[c].hits += 1
-                        dc += l1_latency
-                    else:
-                        l1_caches[c].misses += 1
-                        if len(entries) >= l1_ways:
-                            entries.popitem(last=False)
-                        entries[ln] = True
-                        served_remote = False
-                        if rm and use_rc:
-                            rc = remote_caches[c]
-                            rc.remote_lookups += 1
-                            entries = rc_sets[c][h % rc_ns]
-                            if ln in entries:
-                                entries.move_to_end(ln)
-                                rc.cache.hits += 1
-                                rc.remote_hits += 1
-                                dc += l2_latency
-                                served_remote = True
-                            else:
-                                rc.cache.misses += 1
-                                if rc_insert_all or rc.should_insert(pd):
-                                    if len(entries) >= rc_ways:
-                                        entries.popitem(last=False)
-                                    entries[ln] = True
-                        if not served_remote:
-                            cost = 0
-                            if rm:
-                                cost = rcost_tab[c][hm]
-                                key = (hm, c)
-                                ring_traffic[key] = (
-                                    ring_traffic_get(key, 0)
-                                    + _TRANSFER_BYTES
-                                )
-                                ring.total_bytes += _TRANSFER_BYTES
-                                ring.hop_bytes += (
-                                    hops_tab[hm][c] * _TRANSFER_BYTES
-                                )
-                                vec_on_ring += 1
-                            entries = l2_sets[hm][h % l2_ns]
-                            if ln in entries:
-                                entries.move_to_end(ln)
-                                l2_caches[hm].hits += 1
-                                cost += l2_latency
-                            else:
-                                l2_caches[hm].misses += 1
-                                if len(entries) >= l2_ways:
-                                    entries.popitem(last=False)
-                                entries[ln] = True
-                                cn = (
-                                    hm * cpc
-                                    + (pd // FINE_INTERLEAVE) % cpc
-                                )
-                                rw = pd // ROW_SIZE
-                                dram.accesses += 1
-                                ch_accesses[cn] += 1
-                                if open_row_get(cn) == rw:
-                                    dram.row_hits += 1
-                                    cost += l2_latency + row_hit_c
-                                else:
-                                    open_row[cn] = rw
-                                    cost += l2_latency + row_miss_c
-                            dc += cost
+                    pds.append(pd)
+                    hms.append(hm)
                     aid = rec.alloc_id
                     if aid != last_aid:
                         stats = per_structure[aid]
@@ -1304,7 +1095,8 @@ class BatchedPipeline:
                             last_pb = page_base
                         counts[c] += 1
                 vec_translation += tcyc
-                vec_data += dc
+                pd_buf[a:b] = pds
+                hm_buf[a:b] = hms
 
             def batch_faults(rel: int) -> int:
                 """Batch-resolve every first-touch fault in ``[rel, m)``.
@@ -1366,12 +1158,13 @@ class BatchedPipeline:
                     # ``faults_logged``, ``mapped_pages``,
                     # ``generation``, fault totals — are identical.
                     table = page_table._table_for(granule)
-                    for pos, j in todo:
+                    aids = trace_alloc_ids[
+                        [start + pos for pos, _ in todo]
+                    ].tolist()
+                    for (pos, j), aid in zip(todo, aids):
                         v = va_list[pos]
                         r = ch_list[pos]
-                        allocation = allocations[
-                            int(trace_alloc_ids[start + pos])
-                        ]
+                        allocation = allocations[aid]
                         buf_log[r](v, r)
                         pool = pool_for(allocation)
                         fl = alloc_free.get((r, granule, pool))
@@ -1424,49 +1217,68 @@ class BatchedPipeline:
                 batched_faults += done
                 return done
 
-            # --- window scan over the chunk ---
+            # --- window scan over the chunk (pass 1) ---
             # Unresolved positions are computed once; faults only shrink
             # the set (checked lazily via ``ok``), so the list is rebuilt
             # only when an eviction/demotion makes a resolved key stale.
-            ok_np = np.array(ok, dtype=bool)
-            bad_list = np.flatnonzero(~ok_np[inv]).tolist()
-            bp = 0
+            # Positions ``[0, rel)`` are recorded; ``[done, rel)`` still
+            # await the data pass, which ``drain`` runs at the chunk's
+            # end, before any out-of-band cache flush, and on an abort.
+            done = 0
             rel = 0
-            while rel < m:
-                if drain_repairs():
-                    ok_np = np.array(ok, dtype=bool)
-                    bad_list = (
-                        rel + np.flatnonzero(~ok_np[inv[rel:]])
-                    ).tolist()
-                    bp = 0
-                while bp < len(bad_list) and (
-                    bad_list[bp] < rel or ok[inv_list[bad_list[bp]]]
-                ):
-                    bp += 1
-                nxt = bad_list[bp] if bp < len(bad_list) else m
-                f = nxt - rel
-                if f:
-                    if f >= MIN_VEC:
-                        vec_window(rel, nxt)
-                    else:
-                        small_window(rel, nxt)
-                    fast_accesses += f
-                    rel = nxt
-                if rel < m:
-                    if fault_batch_enabled and unmapped[inv_list[rel]]:
-                        # ``batch_faults`` drained its own events, so
-                        # the next drain_repairs() is a no-op; rebuild
-                        # the unresolved list from the resolved flags
-                        # (on abort, keys behind/ahead may have moved).
-                        if batch_faults(rel):
-                            ok_np = np.array(ok, dtype=bool)
-                            bad_list = (
-                                rel + np.flatnonzero(~ok_np[inv[rel:]])
-                            ).tolist()
-                            bp = 0
-                            continue
-                    scalar_one(start + rel)
-                    rel += 1
+
+            def drain() -> None:
+                nonlocal done
+                if rel > done:
+                    data_pass(
+                        ch_chunk[done:rel], pd_buf[done:rel],
+                        hm_buf[done:rel],
+                    )
+                    done = rel
+
+            machine.data_drain = drain
+            try:
+                ok_np = np.array(ok, dtype=bool)
+                bad_list = np.flatnonzero(~ok_np[inv]).tolist()
+                bp = 0
+                while rel < m:
+                    if drain_repairs():
+                        ok_np = np.array(ok, dtype=bool)
+                        bad_list = (
+                            rel + np.flatnonzero(~ok_np[inv[rel:]])
+                        ).tolist()
+                        bp = 0
+                    while bp < len(bad_list) and (
+                        bad_list[bp] < rel or ok[inv_list[bad_list[bp]]]
+                    ):
+                        bp += 1
+                    nxt = bad_list[bp] if bp < len(bad_list) else m
+                    f = nxt - rel
+                    if f:
+                        if f >= MIN_VEC:
+                            vec_window(rel, nxt)
+                        else:
+                            small_window(rel, nxt)
+                        fast_accesses += f
+                        rel = nxt
+                    if rel < m:
+                        if fault_batch_enabled and unmapped[inv_list[rel]]:
+                            # ``batch_faults`` drained its own events, so
+                            # the next drain_repairs() is a no-op; rebuild
+                            # the unresolved list from the resolved flags
+                            # (on abort, keys behind/ahead may have moved).
+                            if batch_faults(rel):
+                                ok_np = np.array(ok, dtype=bool)
+                                bad_list = (
+                                    rel + np.flatnonzero(~ok_np[inv[rel:]])
+                                ).tolist()
+                                bp = 0
+                                continue
+                        pd_buf[rel], hm_buf[rel] = scalar_one(start + rel)
+                        rel += 1
+            finally:
+                drain()
+                machine.data_drain = None
 
         # --- chunk loop with kernel/epoch clipping ---
         ks_i = 0

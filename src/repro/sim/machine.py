@@ -5,11 +5,15 @@ frame allocator, VA space, page table, demand pager, per-chiplet TLB
 paths, page walkers with Remote Trackers, data caches, remote-caching
 scheme, ring interconnect and DRAM — wired together per the baseline
 architecture (Figure 3, Table 1).
+
+Data-cache sizing, per chiplet: the L2 holds ``scaled_l2_cache_bytes``
+with ``l2_ways`` ways; the L1 aggregate standing in for the chiplet's
+per-SM L1s holds a quarter of that (at least 16 lines) with 8 ways.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..arch.address import AddressLayout, InterleavePolicy
 from ..arch.topology import RingTopology
@@ -100,6 +104,9 @@ class Machine:
             self.remote_caches = [
                 make_remote_cache(remote_cache, config) for _ in range(n)
             ]
+        #: Set by the batched engine while a chunk's data pass is
+        #: pending (see :meth:`flush_data_caches_range`).
+        self.data_drain: Optional[Callable[[], None]] = None
         self.dram = DramChannelModel(
             num_channels=self.layout.total_channels,
             trcd=config.trcd,
@@ -134,7 +141,14 @@ class Machine:
             path.shootdown(tag, size_class)
 
     def flush_data_caches_range(self, paddr: int, size: int) -> None:
-        """Drop cached lines for a migrated physical range."""
+        """Drop cached lines for a migrated physical range.
+
+        A replay engine that defers data-path work installs
+        ``data_drain``; it runs first, so the accesses recorded before
+        the flush reach the caches before the flush does.
+        """
+        if self.data_drain is not None:
+            self.data_drain()
         for cache in self.l1_caches:
             cache.invalidate_range(paddr, size)
         for cache in self.l2_caches:

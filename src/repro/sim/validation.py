@@ -19,6 +19,10 @@ Checked invariants:
    live PTEs; promoted regions are fully backed by their frame.
 5. **Free-list hygiene** — no frame on a free list overlaps a live
    mapping.
+6. **Data-cache rows** — in every L1, L2 and remote cache, each row
+   holds at most ``ways`` valid tags, no tag twice, its valid tags
+   packed at the MRU end, and only lines whose hash selects that row
+   (:func:`cache_violations`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 from ..arch.address import InterleavePolicy
+from ..cache.cache import EMPTY, SetAssociativeCache, set_indices
 from .errors import InvariantViolation
 from .machine import Machine
 
@@ -65,6 +72,29 @@ class ValidationReport:
                     "free_frames_checked": self.free_frames_checked,
                 },
             )
+
+
+def cache_violations(cache: SetAssociativeCache, label: str) -> List[str]:
+    """Structural problems of one data cache's tag array, if any."""
+    tags = cache.tags
+    valid = tags != EMPTY
+    problems = []
+    for row in np.flatnonzero(valid.sum(axis=1) > cache.ways).tolist():
+        problems.append(f"{label} set {row} holds more than {cache.ways} lines")
+    ordered = np.sort(tags, axis=1)
+    dup = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != EMPTY)
+    for row in np.flatnonzero(dup.any(axis=1)).tolist():
+        problems.append(f"{label} set {row} holds a line twice")
+    gap = valid[:, :-1] & ~valid[:, 1:]
+    for row in np.flatnonzero(gap.any(axis=1)).tolist():
+        problems.append(
+            f"{label} set {row} has an empty way on the MRU side of a line"
+        )
+    rows, _ = np.nonzero(valid)
+    homes = set_indices(tags[valid], cache.num_sets)
+    for row in np.unique(rows[homes != rows]).tolist():
+        problems.append(f"{label} set {row} holds a line of another set")
+    return problems
 
 
 def validate_machine(machine: Machine) -> ValidationReport:
@@ -177,4 +207,13 @@ def validate_machine(machine: Machine) -> ValidationReport:
                     f"free frame {frame.paddr:#x} (+{frame.size}) "
                     f"overlaps a live mapping"
                 )
+
+    # 6. data-cache rows
+    caches = [(f"L1[{c}]", cache) for c, cache in enumerate(machine.l1_caches)]
+    caches += [(f"L2[{c}]", cache) for c, cache in enumerate(machine.l2_caches)]
+    for c, scheme in enumerate(machine.remote_caches or ()):
+        caches.append((f"remote cache[{c}]", scheme.cache))
+    for label, cache in caches:
+        for problem in cache_violations(cache, label):
+            report.fail(problem)
     return report

@@ -1,8 +1,9 @@
 # ruff: noqa
-"""Bad fixture: four distinct parity violations.
+"""Bad fixture: five distinct parity violations.
 
-* ``scalar_one`` consults DRAM before the ring (drifted memory-path
+* ``data_pass`` consults DRAM before the ring (drifted memory-path
   order);
+* ``scalar_one`` probes the L1 itself, ahead of the data pass;
 * ``_TRANSFER_BYTES`` disagrees with the staged 32-byte payload;
 * ``small_window`` inlines its own translation instead of routing
   through ``translate_head``;
@@ -22,46 +23,34 @@ def translate_head(units, l1t, l2t, walkers):
     return walkers.walk(unit)
 
 
-def scalar_one(ctx, l1_caches, remote_caches, l2_latency, ring, dram,
-               units, l1t, l2t, walkers):
+def scalar_one(ctx, records, l1_caches, units, l1t, l2t, walkers):
     translate_head(units, l1t, l2t, walkers)
-    if l1_caches.lookup(ctx):
-        return 0
-    if remote_caches.lookup(ctx):
-        return l2_latency
-    cost = l2_latency + dram.access(ctx)
-    ring.hops(ctx)
-    return cost
+    if not l1_caches.lookup(ctx):
+        records.append(ctx)
 
 
-def small_window(window, l1_caches, remote_caches, l2_latency, ring, dram,
-                 units, l1t, l2t, walkers):
-    total = 0
+def small_window(window, records, units, l1t, l2t, walkers):
     for ctx in window:
         unit = units.lookup()
         l1t.hit(unit)
+        records.append(ctx)
+
+
+def vec_window(window, records, units, l1t, l2t, walkers):
+    translate_head(units, l1t, l2t, walkers)
+    records.extend(window)
+
+
+def data_pass(records, l1_caches, remote_caches, l2_latency, ring, dram):
+    total = 0
+    for ctx in records:
         if l1_caches.lookup(ctx):
             continue
         if remote_caches.lookup(ctx):
             total += l2_latency
             continue
-        total += l2_latency + ring.hops(ctx)
-        dram.access(ctx)
-    return total
-
-
-def vec_window(window, l1_sets, rc_sets, l2_sets, pair_counts, dram_acc,
-               units, l1t, l2t, walkers):
-    translate_head(units, l1t, l2t, walkers)
-    total = 0
-    for i in window:
-        if l1_sets[i]:
-            continue
-        if rc_sets[i]:
-            total += l2_sets[i]
-            continue
-        total += l2_sets[i] + pair_counts[i]
-        dram_acc[i] += 1
+        total += l2_latency + dram.access(ctx)
+        ring.hops(ctx)
     return total
 
 

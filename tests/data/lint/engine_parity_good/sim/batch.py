@@ -1,7 +1,8 @@
 # ruff: noqa
-"""Good fixture: three inlined batched copies whose normalized
-memory-path order matches the staged DataStage.process, sharing one
-translation head and the staged epoch-closing sequence."""
+"""Good fixture: pass-1 functions that only translate and record, one
+data pass whose normalized memory-path order matches the staged
+DataStage.process, one shared translation head and the staged
+epoch-closing sequence."""
 
 _TRANSFER_BYTES = 32
 
@@ -15,23 +16,25 @@ def translate_head(units, l1t, l2t, walkers):
     return walkers.walk(unit)
 
 
-def scalar_one(ctx, l1_caches, remote_caches, l2_latency, ring, dram,
-               units, l1t, l2t, walkers):
+def scalar_one(ctx, records, units, l1t, l2t, walkers):
     translate_head(units, l1t, l2t, walkers)
-    if l1_caches.lookup(ctx):
-        return 0
-    if remote_caches.lookup(ctx):
-        return l2_latency
-    cost = l2_latency + ring.hops(ctx)
-    dram.access(ctx)
-    return cost
+    records.append(ctx)
 
 
-def small_window(window, l1_caches, remote_caches, l2_latency, ring, dram,
-                 units, l1t, l2t, walkers):
-    total = 0
+def small_window(window, records, units, l1t, l2t, walkers):
     for ctx in window:
         translate_head(units, l1t, l2t, walkers)
+        records.append(ctx)
+
+
+def vec_window(window, records, units, l1t, l2t, walkers):
+    translate_head(units, l1t, l2t, walkers)
+    records.extend(window)
+
+
+def data_pass(records, l1_caches, remote_caches, l2_latency, ring, dram):
+    total = 0
+    for ctx in records:
         if l1_caches.lookup(ctx):
             continue
         if remote_caches.lookup(ctx):
@@ -39,21 +42,6 @@ def small_window(window, l1_caches, remote_caches, l2_latency, ring, dram,
             continue
         total += l2_latency + ring.hops(ctx)
         dram.access(ctx)
-    return total
-
-
-def vec_window(window, l1_sets, rc_sets, l2_sets, pair_counts, dram_acc,
-               units, l1t, l2t, walkers):
-    translate_head(units, l1t, l2t, walkers)
-    total = 0
-    for i in window:
-        if l1_sets[i]:
-            continue
-        if rc_sets[i]:
-            total += l2_sets[i]
-            continue
-        total += l2_sets[i] + pair_counts[i]
-        dram_acc[i] += 1
     return total
 
 

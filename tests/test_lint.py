@@ -147,13 +147,14 @@ def test_engine_parity_bad_fixture_fires():
     findings = lint_fixture("engine_parity_bad", select=["RPR004"])
     assert codes(findings) == ["RPR004"]
     text = messages(findings)
-    assert "memory-path order of scalar_one()" in text
+    assert "memory-path order of data_pass()" in text
     assert "the engines have drifted" in text
+    assert "scalar_one() touches data-path channels (L1)" in text
     assert "ring transfer payload drifted" in text
     assert "small_window() does not route translation" in text
     assert "policy.on_epoch called outside close_epoch()" in text
     assert "never calls close_epoch()" in text
-    assert len(findings) == 5
+    assert len(findings) == 6
 
 
 def test_engine_parity_bad_names_both_orders():
@@ -560,6 +561,23 @@ def test_engine_drift_in_live_batch_fails_lint(mutable_tree):
     findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
     assert any(
         "ring transfer payload drifted" in f.message for f in findings
+    )
+
+
+def test_cache_access_in_small_window_fails_lint(mutable_tree):
+    # The drift the two-pass split forbids: a data-path probe put back
+    # into a pass-1 window runs ahead of the accesses the data pass has
+    # not replayed yet.
+    reintroduce(
+        mutable_tree / "sim" / "batch.py",
+        "                    pds.append(pd)\n",
+        "                    pds.append(pd)\n"
+        "                    l1_caches[c].access(pd)\n",
+    )
+    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
+    assert any(
+        "small_window() touches data-path channels (L1)" in f.message
+        for f in findings
     )
 
 

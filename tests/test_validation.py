@@ -5,8 +5,10 @@ double-allocation, reservation leak, or page-table inconsistency that a
 policy introduces anywhere in a run fails here.
 """
 
+import numpy as np
 import pytest
 
+from repro.cache.cache import EMPTY
 from repro.config import baseline_config
 from repro.core.clap import ClapPolicy
 from repro.core.clap_sa import ClapSaPlusPolicy
@@ -161,6 +163,50 @@ class TestValidatorDetectsCorruption:
         record.chiplet = 2
         report = validate_machine(machine)
         assert any("belongs to chiplet" in v for v in report.violations)
+
+    @staticmethod
+    def _lines_of_set(cache, row, count):
+        lines = (line for line in range(10**6) if cache.set_of(line) == row)
+        return [next(lines) for _ in range(count)]
+
+    def test_detects_overfull_cache_set(self):
+        machine = Machine(baseline_config())
+        cache = machine.l2_caches[0]
+        wide = np.full((cache.num_sets, cache.ways + 1), EMPTY, np.int64)
+        wide[3] = self._lines_of_set(cache, 3, cache.ways + 1)
+        cache.tags = wide
+        report = validate_machine(machine)
+        assert report.violations == [
+            f"L2[0] set 3 holds more than {cache.ways} lines"
+        ]
+
+    def test_detects_duplicate_cache_line(self):
+        machine = Machine(baseline_config())
+        cache = machine.l1_caches[1]
+        (line,) = self._lines_of_set(cache, 5, 1)
+        cache.tags[5, -2:] = line
+        report = validate_machine(machine)
+        assert report.violations == ["L1[1] set 5 holds a line twice"]
+
+    def test_detects_unpacked_cache_row(self):
+        machine = Machine(baseline_config())
+        cache = machine.l2_caches[2]
+        (line,) = self._lines_of_set(cache, 7, 1)
+        cache.tags[7, 0] = line
+        report = validate_machine(machine)
+        assert report.violations == [
+            "L2[2] set 7 has an empty way on the MRU side of a line"
+        ]
+
+    def test_detects_cache_line_in_wrong_set(self):
+        machine = Machine(baseline_config(), remote_cache="NUBA")
+        cache = machine.remote_caches[3].cache
+        (line,) = self._lines_of_set(cache, 2, 1)
+        cache.tags[4, -1] = line
+        report = validate_machine(machine)
+        assert report.violations == [
+            "remote cache[3] set 4 holds a line of another set"
+        ]
 
     def test_clean_machine_passes(self):
         machine = Machine(baseline_config())
