@@ -65,13 +65,11 @@ per-stage pipeline telemetry and writes one JSON file per simulation
 into ``--telemetry-dir`` (default ``REPRO_TELEMETRY_DIR`` or
 ``./telemetry``).
 
-``--engine staged|batched|fused|auto`` selects the replay engine
-(default: ``REPRO_ENGINE`` or auto; results are bit-identical, only
-wall time differs — see DESIGN.md section 7).  ``fused`` additionally
-replays sweep cells that share one trace as a group with shared
-trace-prep arrays (see ``repro/sim/xbatch.py``).  ``--profile`` wraps
-the selected command in ``cProfile`` and dumps a ``pstats`` file next
-to the telemetry output.
+``--engine staged|batched|auto`` selects the replay engine (default:
+``REPRO_ENGINE`` or auto; results are bit-identical, only wall time
+differs — see DESIGN.md section 7).  ``--profile`` wraps the selected
+command in ``cProfile`` and dumps a ``pstats`` file next to the
+telemetry output.
 """
 
 from __future__ import annotations
@@ -294,10 +292,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument(
         "--engine", choices=ENGINES, default=None,
-        help="replay engine: staged, batched, fused (batched plus "
-             "cross-cell trace-group fusion in sweeps), or auto "
-             "(default: the REPRO_ENGINE env flag, or auto); results "
-             "are bit-identical",
+        help="replay engine: staged, batched, or auto (default: the "
+             "REPRO_ENGINE env flag, or auto); results are bit-identical",
     )
     parser.add_argument(
         "--profile", action="store_true",

@@ -109,7 +109,7 @@ from __future__ import annotations
 
 import gc
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -139,7 +139,7 @@ from .pipeline import (
 CHUNK = 4096
 
 #: Minimum window length worth vectorizing; shorter fault-free runs go
-#: through the fused scalar fast path instead (the fixed NumPy setup
+#: through the scalar fast path instead (the fixed NumPy setup
 #: cost of a window would exceed the interpreter cost it saves).
 MIN_VEC = 24
 
@@ -178,20 +178,9 @@ class BatchedPipeline:
     through vectorized windows — and ``fault_batch_fraction`` — the
     fraction of page faults resolved through the vectorized fault path
     (None when the run was not eligible for it).
-
-    ``prep`` optionally shares the pure-trace-derived per-chunk arrays
-    (page keys, ``np.unique`` output, Python list materializations)
-    between runs that replay the *same* trace — the fused sweep engine
-    (:mod:`repro.sim.xbatch`) passes one dict across all cells of a
-    trace group.  Entries are keyed by ``(start, end, shift)`` and are
-    read-only in use, so sharing cannot couple cells.
     """
 
-    def __init__(
-        self,
-        state: SimState,
-        prep: Optional[Dict[Tuple[int, int, int], tuple]] = None,
-    ) -> None:
+    def __init__(self, state: SimState) -> None:
         self.state = state
         #: Batched runs are always telemetry-off (the engine falls back
         #: to the staged pipeline otherwise); ``_fold_result`` reads this.
@@ -201,9 +190,8 @@ class BatchedPipeline:
         self.data_stage = DataStage(state, None)
         self.fast_path_fraction: Optional[float] = None
         self.fault_batch_fraction: Optional[float] = None
-        self.prep = prep
 
-    def run(self) -> SimState:  # noqa: C901 - one fused hot path
+    def run(self) -> SimState:  # noqa: C901 - one hot path
         state = self.state
         machine = state.machine
         config = machine.config
@@ -724,31 +712,14 @@ class BatchedPipeline:
             #: chiplet here; the data pass replays them.
             pd_buf = np.empty(m, dtype=np.int64)
             hm_buf = np.empty(m, dtype=np.int64)
-            # Pure-trace-derived chunk arrays: shareable across cells
-            # replaying the same trace at the same granule (the fused
-            # sweep engine passes ``prep``); everything below is only
-            # ever read, never mutated.
-            prep = self.prep
-            prep_key = (start, end, shift)
-            cached = prep.get(prep_key) if prep is not None else None
-            if cached is None:
-                va_chunk = va_np[start:end]
-                ch_chunk = ch_np[start:end]
-                keys = va_chunk >> shift
-                uniq, inv = np.unique(keys, return_inverse=True)
-                va_list = va_chunk.tolist()
-                ch_list = ch_chunk.tolist()
-                inv_list = inv.tolist()
-                uniq_list = uniq.tolist()
-                key_to_j = {k: j for j, k in enumerate(uniq_list)}
-                if prep is not None:
-                    prep[prep_key] = (
-                        va_chunk, ch_chunk, uniq, inv,
-                        va_list, ch_list, inv_list, uniq_list, key_to_j,
-                    )
-            else:
-                (va_chunk, ch_chunk, uniq, inv,
-                 va_list, ch_list, inv_list, uniq_list, key_to_j) = cached
+            va_chunk = va_np[start:end]
+            ch_chunk = ch_np[start:end]
+            uniq, inv = np.unique(va_chunk >> shift, return_inverse=True)
+            va_list = va_chunk.tolist()
+            ch_list = ch_chunk.tolist()
+            inv_list = inv.tolist()
+            uniq_list = uniq.tolist()
+            key_to_j = {k: j for j, k in enumerate(uniq_list)}
             n_uniq = len(uniq_list)
 
             recs: List[object] = [None] * n_uniq

@@ -31,7 +31,7 @@ from .telemetry import Instrumentation, resolve_instrumentation
 from .timing import TimingParams, total_cycles
 
 #: Valid values for the ``engine`` argument / ``REPRO_ENGINE`` variable.
-ENGINES = ("staged", "batched", "fused", "auto")
+ENGINES = ("staged", "batched", "auto")
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -40,9 +40,6 @@ def resolve_engine(engine: Optional[str]) -> str:
     All engines produce bit-identical results (asserted by the golden
     and differential-fuzz suites), so the choice only affects wall time;
     ``auto`` picks the batched engine whenever the run is eligible.
-    ``fused`` behaves like ``batched`` for a single run and additionally
-    lets the sweep runner replay cells sharing one trace through a fused
-    pass (:mod:`repro.sim.xbatch`).
     """
     if engine is None:
         engine = os.environ.get("REPRO_ENGINE") or "auto"
@@ -70,7 +67,6 @@ def run_simulation(
     instrumentation: Optional[Instrumentation] = None,
     telemetry: Optional[bool] = None,
     engine: Optional[str] = None,
-    shared_prep: Optional[dict] = None,
 ) -> SimResult:
     """Run ``policy`` on ``workload`` and return the measured result.
 
@@ -91,16 +87,10 @@ def run_simulation(
 
     ``engine`` selects the replay machinery: ``"staged"`` (the
     per-access pipeline), ``"batched"`` (vectorized steady-state
-    windows, see :mod:`repro.sim.batch`), ``"fused"`` (batched here,
-    plus cross-cell trace-group fusion in the sweep runner — see
-    :mod:`repro.sim.xbatch`) or ``"auto"``/None (batched when eligible;
-    ``REPRO_ENGINE`` overrides the default).  All produce bit-identical
-    results; telemetry-instrumented and multi-page-TLB runs always use
-    the staged pipeline.
-
-    ``shared_prep`` (fused sweeps) shares the batched engine's
-    pure-trace-derived per-chunk arrays across runs replaying the same
-    trace; it never affects results.
+    windows, see :mod:`repro.sim.batch`) or ``"auto"``/None (batched
+    when eligible; ``REPRO_ENGINE`` overrides the default).  Both
+    produce bit-identical results; telemetry-instrumented and
+    multi-page-TLB runs always use the staged pipeline.
     """
     if timing is None:
         timing = TimingParams()
@@ -141,7 +131,7 @@ def run_simulation(
     # when batched was requested (results are identical either way).
     eligible = hook is None and not multi_page_tlb
     if choice != "staged" and eligible:
-        pipeline = BatchedPipeline(state, prep=shared_prep)
+        pipeline = BatchedPipeline(state)
     else:
         pipeline = AccessPipeline(state, hook)
     pipeline.run()

@@ -24,7 +24,7 @@ spends exact simulations only where the answer is actually at stake:
    :class:`~repro.surrogate.results.PredictedResult`.
 
 Exact cells run through the caller-supplied ``exact_fn`` — in practice
-:class:`~repro.sim.parallel.SweepRunner`'s ordinary pool/fused/
+:class:`~repro.sim.parallel.SweepRunner`'s ordinary pool/serial/
 coordinator machinery — so every exactly simulated cell is bit-identical
 to the same cell in a plain sweep, cached under the same fingerprint.
 """

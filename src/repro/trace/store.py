@@ -2,8 +2,7 @@
 
 Sweeps replay far fewer *distinct* traces than cells — a trace is a
 deterministic function of ``(workload spec, num_chiplets, seed)`` and of
-nothing else (the same invariant :func:`repro.sim.xbatch.
-trace_group_key` fuses on).  Without sharing, every worker process
+nothing else.  Without sharing, every worker process
 regenerates (or privately loads) its cell's trace, so sweep memory
 scales as trace-bytes × ``--jobs``.
 
@@ -37,7 +36,7 @@ from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from ..errors import TraceFormatError
-from .io import load_trace, save_trace_v2
+from .io import load_trace, save_trace
 from .workload import Trace, Workload, WorkloadSpec
 
 __all__ = [
@@ -60,10 +59,9 @@ def trace_fingerprint(
 ) -> str:
     """Content hash of everything that determines a trace's bytes.
 
-    Deliberately the same payload as :func:`repro.sim.xbatch.
-    trace_group_key` (which delegates here): two sweep cells with equal
-    fingerprints replay byte-identical traces, so the fingerprint is
-    both the fused-replay grouping key and the store filename.
+    Two sweep cells with equal fingerprints replay byte-identical
+    traces (policy, interleave, remote cache and timing only affect the
+    replay), so the fingerprint names the store file they share.
     """
     from ..sim.parallel import _jsonable  # lazy: avoids import cycle
 
@@ -214,7 +212,7 @@ class TraceStore:
         trace = Workload(workload, num_chiplets, seed=seed).build_trace(seed)
         if not self.write_disabled:
             try:
-                save_trace_v2(trace, path)
+                save_trace(trace, path)
                 self.materialized += 1
                 return fingerprint, trace.nbytes, True
             except OSError as exc:

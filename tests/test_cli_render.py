@@ -90,6 +90,12 @@ class TestCli:
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "nope"]) == 2
 
+    def test_unknown_engine_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "STE", "--engine", "fused"])
+        assert info.value.code == 2
+        assert "invalid choice: 'fused'" in capsys.readouterr().err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -5,7 +5,7 @@ import pytest
 from repro.arch.address import InterleavePolicy
 from repro.config import eight_chiplet_config
 from repro.policies import StaticPaging
-from repro.sim.engine import run_simulation
+from repro.sim.engine import ENGINES, resolve_engine, run_simulation
 from repro.sim.runner import run_workload
 from repro.trace.workload import Workload
 from repro.units import MB, PAGE_64K
@@ -93,3 +93,20 @@ class TestRunnerApi:
     def test_no_cache_reports_none(self):
         result = run_workload("STE", "S-2MB")
         assert result.remote_cache_coverage is None
+
+
+class TestResolveEngine:
+    def test_engine_set(self):
+        assert ENGINES == ("staged", "batched", "auto")
+
+    def test_unknown_argument_lists_the_engines(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        with pytest.raises(ValueError) as info:
+            resolve_engine("fused")
+        assert "('staged', 'batched', 'auto')" in str(info.value)
+
+    def test_unknown_env_value_lists_the_engines(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "fused")
+        with pytest.raises(ValueError) as info:
+            resolve_engine(None)
+        assert "('staged', 'batched', 'auto')" in str(info.value)

@@ -7,13 +7,17 @@ This is the class of test that catches frame double-allocation and
 region bookkeeping bugs that example-based tests miss.
 
 The second half is the *engine differential suite*: 175 generated cells
-replayed through all three engines (staged / batched / fused), stratified
-across the regimes where the vectorized fault path, the batched data pass
-and cross-cell fusion could drift — fault-heavy first-touch traces,
-oversubscription eviction, migrating policies, multi-structure
-interleave, remote caches, and capacity-exhaustion-adjacent occupancy.
-Every case asserts full ``SimResult`` bit-identity.
+replayed through both engines (staged / batched), stratified across the
+regimes where the vectorized fault path and the batched data pass could
+drift — fault-heavy first-touch traces, oversubscription eviction,
+migrating policies, multi-structure interleave, remote caches, and
+capacity-exhaustion-adjacent occupancy.  Every case asserts full
+``SimResult`` bit-identity, and every completed run's machine must pass
+the invariant validator, so the fast paths are held to the same
+structural invariants as the staged one.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -148,20 +152,23 @@ def test_clap_on_random_workloads(spec, seed):
     assert result.page_faults > 0
 
 
-# --- engine differential equivalence (staged vs batched vs fused) -----
+# --- engine differential equivalence (staged vs batched) --------------
 #
-# Every differential property below replays the same cell through all
-# three engines with a *fresh* policy instance per run and asserts full
+# Every differential property below replays the same cell through both
+# engines with a *fresh* policy instance per run and asserts full
 # ``SimResult`` bit-identity: dataclass equality, the serialized cache
 # payload (``to_dict``), and — explicitly, because the fault-buffer
 # overflow path is the easiest counter to desynchronize — equal
-# ``faults_dropped``.  The strategies are stratified to hit the regimes
-# where the vectorized fault path (``sim/batch.py``) could drift from
-# the staged ``FaultStage``: first-touch-dense traces, oversubscription
-# eviction, migrating policies, multi-structure interleave, and
-# capacity-exhaustion-adjacent occupancy.
+# ``faults_dropped``.  Each completed run's ``Machine`` is captured and
+# must pass ``validate_machine``: the batched fault path inlines PTE
+# inserts and frame pops, so its final VM state is checked directly,
+# not only through the counters.  The strategies are stratified to hit
+# the regimes where the vectorized fault path (``sim/batch.py``) could
+# drift from the staged ``FaultStage``: first-touch-dense traces,
+# oversubscription eviction, migrating policies, multi-structure
+# interleave, and capacity-exhaustion-adjacent occupancy.
 
-ENGINE_TRIPLET = ("staged", "batched", "fused")
+ENGINE_PAIR = ("staged", "batched")
 
 _any_policy = st.sampled_from(
     [
@@ -183,19 +190,40 @@ _migrating_policy = st.sampled_from(
 )
 
 
+def _run_capturing_machine(run_one, engine):
+    """``run_one(engine)`` plus the ``Machine`` that run built.
+
+    The machine is captured by wrapping the constructor that
+    ``run_simulation`` calls; nothing in the engine knows about it.
+    """
+    built = []
+
+    def build(*args, **kwargs):
+        machine = Machine(*args, **kwargs)
+        built.append(machine)
+        return machine
+
+    with mock.patch("repro.sim.engine.Machine", side_effect=build):
+        outcome = run_one(engine)
+    (machine,) = built
+    return outcome, machine
+
+
 def _assert_engines_identical(run_one):
-    """Run ``run_one(engine)`` for all engines; assert bit-identity.
+    """Run ``run_one(engine)`` for both engines; assert bit-identity and
+    that each run leaves a machine passing ``validate_machine``.
 
     Returns the staged result so callers can pin extra regime
     assertions (e.g. the case actually faulted).
     """
-    results = {engine: run_one(engine) for engine in ENGINE_TRIPLET}
-    staged = results["staged"]
-    for engine in ("batched", "fused"):
-        other = results[engine]
-        assert other == staged, f"{engine} drifted from staged"
-        assert other.to_dict() == staged.to_dict()
-        assert other.faults_dropped == staged.faults_dropped
+    results = {}
+    for engine in ENGINE_PAIR:
+        results[engine], machine = _run_capturing_machine(run_one, engine)
+        validate_machine(machine).raise_if_failed()
+    staged, batched = results["staged"], results["batched"]
+    assert batched == staged, "batched drifted from staged"
+    assert batched.to_dict() == staged.to_dict()
+    assert batched.faults_dropped == staged.faults_dropped
     return staged
 
 
@@ -260,8 +288,8 @@ def _interleaved_spec(draw):
 @given(spec=_random_spec(), seed=st.integers(0, 50), policy=_any_policy)
 @settings(max_examples=40, deadline=None)
 def test_engines_bit_identical_on_random_workloads(spec, seed, policy):
-    """For any workload shape, seed and policy family, the batched and
-    fused engines must produce the *same* ``SimResult`` as the staged
+    """For any workload shape, seed and policy family, the batched
+    engine must produce the *same* ``SimResult`` as the staged
     pipeline — every counter, cycle total, selection and energy figure,
     as serialized by ``to_dict`` (the result-cache payload, which is
     also why the cache key may ignore the engine)."""
@@ -429,19 +457,20 @@ def test_engines_agree_at_capacity_exhaustion_boundary(
         except MemoryExhaustedError as exc:
             return ("exhausted", dict(exc.context))
 
-    outcomes = {engine: run_one(engine) for engine in ENGINE_TRIPLET}
+    outcomes = {}
+    for engine in ENGINE_PAIR:
+        outcomes[engine], machine = _run_capturing_machine(run_one, engine)
+        if outcomes[engine][0] == "completed":
+            validate_machine(machine).raise_if_failed()
     staged_kind, staged_value = outcomes["staged"]
-    for engine in ("batched", "fused"):
-        kind, value = outcomes[engine]
-        assert kind == staged_kind, (
-            f"{engine} {kind} but staged {staged_kind}"
-        )
-        if kind == "completed":
-            assert value == staged_value
-            assert value.to_dict() == staged_value.to_dict()
-            assert value.faults_dropped == staged_value.faults_dropped
-        else:
-            assert value == staged_value
+    kind, value = outcomes["batched"]
+    assert kind == staged_kind, f"batched {kind} but staged {staged_kind}"
+    if kind == "completed":
+        assert value == staged_value
+        assert value.to_dict() == staged_value.to_dict()
+        assert value.faults_dropped == staged_value.faults_dropped
+    else:
+        assert value == staged_value
 
 
 # --- determinism (the invariant the result cache relies on) -----------

@@ -1,12 +1,15 @@
 """Tests for trace serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.errors import TraceFormatError
 from repro.policies import StaticPaging
 from repro.sim.engine import run_simulation
 from repro.trace import arena
-from repro.trace.io import load_trace, save_trace, save_trace_v2
+from repro.trace.io import load_trace, save_trace
 from repro.trace.workload import Workload
 from repro.units import MB, PAGE_64K
 
@@ -21,9 +24,28 @@ def trace():
     return Workload(spec, 4).build_trace(7)
 
 
+def _edit_header(path, edit):
+    """Rewrite the JSON header of the v2 archive at ``path`` in place.
+
+    ``edit`` mutates the parsed header dict; the re-serialized header is
+    padded back to the original header size, so the data section (and
+    its CRC32) is untouched.
+    """
+    blob = path.read_bytes()
+    magic_line, rest = blob.split(b"\n", 1)
+    header_size = int(magic_line[len(b"#repro-trace-v2 "):])
+    body = rest[: header_size - len(magic_line) - 1]
+    header = json.loads(body.rstrip(b"\0"))
+    edit(header)
+    new_body = json.dumps(header, sort_keys=True).encode() + b"\n"
+    assert len(new_body) <= len(body)
+    new_body += b"\0" * (len(body) - len(new_body))
+    path.write_bytes(magic_line + b"\n" + new_body + blob[header_size:])
+
+
 class TestRoundTrip:
     def test_arrays_identical(self, trace, tmp_path):
-        path = tmp_path / "trace.npz"
+        path = tmp_path / "trace.trace"
         save_trace(trace, path)
         loaded = load_trace(path)
         assert np.array_equal(loaded.chiplets, trace.chiplets)
@@ -39,7 +61,7 @@ class TestRoundTrip:
         direct = run_simulation(spec, StaticPaging(PAGE_64K), seed=7)
 
         workload = Workload(spec, 4)
-        path = tmp_path / "trace.npz"
+        path = tmp_path / "trace.trace"
         save_trace(workload.build_trace(7), path)
         replayed = run_simulation(
             spec, StaticPaging(PAGE_64K), seed=7, trace=load_trace(path)
@@ -48,100 +70,93 @@ class TestRoundTrip:
         assert replayed.remote_accesses == direct.remote_accesses
 
     def test_version_check(self, trace, tmp_path):
-        path = tmp_path / "trace.npz"
-        np.savez_compressed(
-            path,
-            version=np.int64(99),
-            chiplets=trace.chiplets,
-            vaddrs=trace.vaddrs,
-            alloc_ids=trace.alloc_ids,
-            kernel_starts=np.asarray([0]),
-            n_warp_instructions=np.int64(1),
-        )
-        with pytest.raises(ValueError, match="version"):
+        path = tmp_path / "trace.trace"
+        save_trace(trace, path)
+        _edit_header(path, lambda h: h.update(version=99))
+        with pytest.raises(TraceFormatError, match="version 99"):
             load_trace(path)
 
 
 class TestCorruptArchives:
     """load_trace validates up front and names what is wrong."""
 
-    def _save_fields(self, path, **overrides):
-        fields = dict(
-            version=np.int64(1),
-            chiplets=np.zeros(4, dtype=np.int8),
-            vaddrs=np.zeros(4, dtype=np.int64),
-            alloc_ids=np.zeros(4, dtype=np.int16),
-            kernel_starts=np.asarray([0], dtype=np.int64),
-            n_warp_instructions=np.int64(1),
+    @pytest.fixture
+    def archive(self, tmp_path):
+        from repro.trace.workload import Trace
+
+        path = tmp_path / "t.trace"
+        save_trace(
+            Trace(
+                chiplets=np.zeros(4, dtype=np.int8),
+                vaddrs=np.zeros(4, dtype=np.int64),
+                alloc_ids=np.zeros(4, dtype=np.int16),
+                kernel_starts=[0],
+                n_warp_instructions=1,
+            ),
+            path,
         )
-        fields.update(overrides)
-        fields = {k: v for k, v in fields.items() if v is not None}
-        np.savez_compressed(path, **fields)
+        return path
 
-    def test_missing_key(self, tmp_path):
-        from repro.errors import TraceFormatError
+    def test_missing_key(self, archive):
+        _edit_header(archive, lambda h: h["columns"].pop("alloc_ids"))
+        with pytest.raises(TraceFormatError, match="missing column alloc_ids"):
+            load_trace(archive)
 
-        path = tmp_path / "t.npz"
-        self._save_fields(path, alloc_ids=None)
-        with pytest.raises(TraceFormatError, match="alloc_ids"):
-            load_trace(path)
+    def test_length_mismatch(self, archive):
+        def shorten(header):
+            header["columns"]["chiplets"]["nbytes"] = 3
 
-    def test_length_mismatch(self, tmp_path):
-        from repro.errors import TraceFormatError
+        _edit_header(archive, shorten)
+        with pytest.raises(TraceFormatError, match="chiplets declares.*\\+3"):
+            load_trace(archive)
 
-        path = tmp_path / "t.npz"
-        self._save_fields(path, chiplets=np.zeros(3, dtype=np.int8))
-        with pytest.raises(TraceFormatError, match="3 entries.*vaddrs has 4"):
-            load_trace(path)
+    def test_wrong_dtype(self, archive):
+        def as_float(header):
+            header["columns"]["vaddrs"]["dtype"] = "float64"
 
-    def test_wrong_dtype(self, tmp_path):
-        from repro.errors import TraceFormatError
+        _edit_header(archive, as_float)
+        with pytest.raises(TraceFormatError, match="vaddrs declares float64"):
+            load_trace(archive)
 
-        path = tmp_path / "t.npz"
-        self._save_fields(path, vaddrs=np.zeros(4, dtype=np.float64))
-        with pytest.raises(TraceFormatError, match="vaddrs.*integer"):
-            load_trace(path)
-
-    def test_out_of_range_kernel_starts(self, tmp_path):
-        from repro.errors import TraceFormatError
-
-        path = tmp_path / "t.npz"
-        self._save_fields(
-            path, kernel_starts=np.asarray([0, 99], dtype=np.int64)
-        )
+    def test_out_of_range_kernel_starts(self, archive):
+        _edit_header(archive, lambda h: h.update(kernel_starts=[0, 99]))
         with pytest.raises(TraceFormatError, match="kernel_starts"):
-            load_trace(path)
+            load_trace(archive)
 
-    def test_unsorted_kernel_starts(self, tmp_path):
-        from repro.errors import TraceFormatError
-
-        path = tmp_path / "t.npz"
-        self._save_fields(
-            path, kernel_starts=np.asarray([2, 0], dtype=np.int64)
-        )
+    def test_unsorted_kernel_starts(self, archive):
+        _edit_header(archive, lambda h: h.update(kernel_starts=[2, 0]))
         with pytest.raises(TraceFormatError, match="sorted"):
-            load_trace(path)
+            load_trace(archive)
 
     def test_not_an_archive(self, tmp_path):
-        from repro.errors import TraceFormatError
+        path = tmp_path / "t.trace"
+        path.write_bytes(b"this is not a trace archive")
+        with pytest.raises(TraceFormatError, match="cannot read.*v2 magic"):
+            load_trace(path)
 
+    def test_npz_file_is_rejected_for_missing_magic(self, trace, tmp_path):
+        """A NumPy ``.npz`` archive is a zip file, not a trace archive:
+        the loader names the missing v2 magic instead of surfacing a
+        NumPy or zip error."""
         path = tmp_path / "t.npz"
-        path.write_bytes(b"this is not a zip archive")
-        with pytest.raises(TraceFormatError, match="cannot read"):
+        np.savez(
+            path,
+            chiplets=trace.chiplets,
+            vaddrs=trace.vaddrs,
+            alloc_ids=trace.alloc_ids,
+        )
+        with pytest.raises(TraceFormatError, match="#repro-trace-v2"):
             load_trace(path)
 
     def test_missing_file(self, tmp_path):
-        from repro.errors import TraceFormatError
-
         with pytest.raises(TraceFormatError, match="cannot read"):
-            load_trace(tmp_path / "absent.npz")
+            load_trace(tmp_path / "absent.trace")
 
-    def test_format_error_is_still_a_value_error(self, tmp_path):
+    def test_format_error_is_still_a_value_error(self, archive):
         """Callers that predate the hierarchy catch ValueError."""
-        path = tmp_path / "t.npz"
-        self._save_fields(path, version=np.int64(99))
+        _edit_header(archive, lambda h: h.update(version=99))
         with pytest.raises(ValueError, match="version"):
-            load_trace(path)
+            load_trace(archive)
 
 
 class TestArenaLayout:
@@ -186,7 +201,7 @@ class TestV2Archive:
 
     def test_round_trip_bit_identity(self, trace, tmp_path):
         path = tmp_path / "trace.trace"
-        save_trace(trace, path)  # non-.npz suffix: v2 inferred
+        save_trace(trace, path)
         loaded = load_trace(path)
         assert np.array_equal(loaded.chiplets, trace.chiplets)
         assert np.array_equal(loaded.vaddrs, trace.vaddrs)
@@ -194,17 +209,6 @@ class TestV2Archive:
         assert loaded.kernel_starts == trace.kernel_starts
         assert loaded.n_warp_instructions == trace.n_warp_instructions
         assert bytes(loaded.arena) == bytes(trace.arena)
-
-    def test_v1_v2_cross_format_identity(self, trace, tmp_path):
-        save_trace(trace, tmp_path / "t.npz")
-        save_trace(trace, tmp_path / "t.trace")
-        v1 = load_trace(tmp_path / "t.npz")
-        v2 = load_trace(tmp_path / "t.trace")
-        assert np.array_equal(v1.chiplets, v2.chiplets)
-        assert np.array_equal(v1.vaddrs, v2.vaddrs)
-        assert np.array_equal(v1.alloc_ids, v2.alloc_ids)
-        assert v1.kernel_starts == v2.kernel_starts
-        assert v1.n_warp_instructions == v2.n_warp_instructions
 
     def test_attaches_as_memmap_views(self, trace, tmp_path):
         path = tmp_path / "t.trace"
@@ -236,15 +240,19 @@ class TestV2Archive:
         assert replayed.cycles == direct.cycles
         assert replayed.remote_accesses == direct.remote_accesses
 
-    def test_explicit_version_overrides_suffix(self, trace, tmp_path):
+    def test_npz_suffix_still_writes_v2(self, trace, tmp_path):
         path = tmp_path / "weird.npz"
-        save_trace(trace, path, version=2)
+        save_trace(trace, path)
+        assert path.read_bytes().startswith(b"#repro-trace-v2 ")
         loaded = load_trace(path)
         assert isinstance(loaded.arena, np.memmap)
 
     def test_unknown_version_rejected(self, trace, tmp_path):
-        with pytest.raises(ValueError, match="version"):
-            save_trace(trace, tmp_path / "t.trace", version=3)
+        path = tmp_path / "t.trace"
+        save_trace(trace, path)
+        _edit_header(path, lambda h: h.update(version=3))
+        with pytest.raises(ValueError, match="version 3"):
+            load_trace(path)
 
 
 class TestCorruptV2Archives:
@@ -253,20 +261,16 @@ class TestCorruptV2Archives:
     @pytest.fixture
     def archive(self, trace, tmp_path):
         path = tmp_path / "t.trace"
-        save_trace_v2(trace, path)
+        save_trace(trace, path)
         return path
 
     def test_truncated_data_section(self, archive):
-        from repro.errors import TraceFormatError
-
         blob = archive.read_bytes()
         archive.write_bytes(blob[:-64])
         with pytest.raises(TraceFormatError, match="truncated"):
             load_trace(archive)
 
     def test_flipped_data_bit_fails_crc(self, archive):
-        from repro.errors import TraceFormatError
-
         blob = bytearray(archive.read_bytes())
         blob[-1] ^= 0xFF
         archive.write_bytes(bytes(blob))
@@ -274,8 +278,6 @@ class TestCorruptV2Archives:
             load_trace(archive)
 
     def test_garbled_header(self, archive):
-        from repro.errors import TraceFormatError
-
         blob = bytearray(archive.read_bytes())
         blob[len(b"#repro-trace-v2 ") + 14] ^= 0xFF  # inside the JSON
         archive.write_bytes(bytes(blob))
@@ -283,8 +285,6 @@ class TestCorruptV2Archives:
             load_trace(archive)
 
     def test_malformed_magic_size(self, archive):
-        from repro.errors import TraceFormatError
-
         blob = bytearray(archive.read_bytes())
         blob[len(b"#repro-trace-v2 ")] = ord("x")
         archive.write_bytes(bytes(blob))

@@ -8,7 +8,6 @@ import pytest
 from repro.config import baseline_config
 from repro.sim.coordinator import CoordinatorConfig
 from repro.sim.parallel import SweepCell, SweepRunner
-from repro.sim.xbatch import trace_group_key
 from repro.trace.store import (
     TraceStore,
     resolve_trace_store,
@@ -39,13 +38,24 @@ class TestFingerprint:
         other = make_spec(partitioned(size=8 * MB))
         assert trace_fingerprint(other, 4, 7) != base
 
-    def test_matches_fused_group_key(self, spec):
-        """The store filename IS the fused-replay grouping key."""
-        cell = SweepCell(spec, "CLAP", seed=7)
-        config = baseline_config()
-        assert trace_group_key(cell) == trace_fingerprint(
-            spec, config.num_chiplets, cell.seed
+    def test_same_trace_cells_share_one_archive(self, spec, tmp_path):
+        """Cells that differ only in replay knobs (policy, remote cache)
+        share one trace, stored under its fingerprint."""
+        root = tmp_path / "traces"
+        runner = SweepRunner(jobs=1, use_cache=False, trace_store=root)
+        runner.run_cells(
+            [
+                SweepCell(spec, "CLAP", seed=7),
+                SweepCell(spec, "IDEAL", seed=7),
+                SweepCell(spec, "S-2MB", seed=7, remote_cache="NUBA"),
+            ]
         )
+        fingerprint = trace_fingerprint(
+            spec, baseline_config().num_chiplets, 7
+        )
+        assert runner.stats.traces_materialized == 1
+        assert TraceStore(root).path_for(fingerprint).exists()
+        assert len(TraceStore(root)) == 1
 
 
 class TestResolve:
@@ -136,7 +146,7 @@ class TestStore:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(
-            "repro.trace.store.save_trace_v2", broken_writer
+            "repro.trace.store.save_trace", broken_writer
         )
         store = TraceStore(tmp_path)
         with pytest.warns(RuntimeWarning, match="not writable"):
@@ -190,7 +200,7 @@ class TestSweepIntegration:
             SweepCell("STE", "CLAP", seed=3),
         ]
 
-    @pytest.mark.parametrize("engine", ["staged", "batched", "fused"])
+    @pytest.mark.parametrize("engine", ["staged", "batched"])
     def test_store_on_matches_store_off(
         self, spec, tmp_path, monkeypatch, engine
     ):
