@@ -2,12 +2,12 @@
 at lint time, not in the fuzz suite.
 
 DESIGN.md section 7 argues the batched engine is *bit-identical* to the
-staged pipeline.  Its data path rests on a two-pass split: pass 1
-(``scalar_one``, ``small_window``, ``vec_window`` and ``batch_faults``)
-handles faults, translation and accounting and only *records* each
-access's physical address and home chiplet, and pass 2 — the single
-``data_pass`` — replays the recorded accesses level by level against
-the staged original, ``DataStage.process``.  That argument decays the
+staged pipeline.  It rests on a two-pass split: pass 1 (``scalar_one``,
+``small_window``, ``vec_window`` and ``batch_faults``) handles faults
+and accounting and only *records* each access's translation head,
+physical address and home chiplet; pass 2 replays the records level by
+level — ``translation_pass`` against ``TranslationPath.access`` and
+``data_pass`` against ``DataStage.process``.  That argument decays the
 first time someone edits one side, so this rule checks both halves:
 
 * the **data pass** consults the memory hierarchy in the staged order.
@@ -18,20 +18,21 @@ first time someone edits one side, so this rule checks both halves:
   as ``DataStage.process`` (canonically L1 → REMOTE_CACHE → L2 → RING →
   DRAM: the remote-cache *hit* pays L2 latency before any ring
   traversal is costed);
-* **pass 1 stays out of the data path**: no pass-1 function may touch
-  a data channel.  A cache probe, ring charge or DRAM access put back
-  into a window would run ahead of the accesses the data pass has not
-  replayed yet, which is exactly the reordering the two-pass argument
-  forbids.
+* the **translation pass** visits L1_TLB → L2_TLB → WALK in the order
+  of ``TranslationPath.access`` (its multi-page branch skipped);
+* **pass 1 stays out of both**: a cache probe, ring charge, DRAM
+  access, TLB probe, walk or tracker update put back into a window
+  would run ahead of records pass 2 has not replayed yet, exactly the
+  reordering the two-pass argument forbids.  Only the record-time
+  ``unit_tuple`` and ``window_mask`` (the head's unit and fill mask,
+  which read the page table at the head's trace position) are allowed.
 
-Three auxiliary parity checks ride along: the ring transfer payload
-constant must agree between the staged literal and ``_TRANSFER_BYTES``;
-``policy.on_epoch`` may only fire through the shared ``close_epoch``
-(both engines must share one epoch semantics); and the batched
-translation copies must route through ``translate_head`` or replicate
-its exact TLB sequence.
+Two auxiliary parity checks ride along: the ring transfer payload
+constant must agree between the staged literal and ``_TRANSFER_BYTES``,
+and ``policy.on_epoch`` may only fire through the shared
+``close_epoch`` (both engines must share one epoch semantics).
 
-A fourth check covers the vectorized fault path: when ``batch_faults``
+Another check covers the vectorized fault path: when ``batch_faults``
 exists it must route every fault through the staged ``FaultStage``
 binding (``fault``) — never call ``place`` / ``map_single`` /
 ``map_page`` / ``map_into_region`` / ``ensure_region`` directly.  The
@@ -121,33 +122,50 @@ DATA_CHANNELS: Dict[str, str] = {
     "ROW_SIZE": "DRAM",
 }
 
-#: Identifier -> translation-path channel, for comparing the batched
-#: translation copies against ``translate_head``.
+#: Identifier -> translation-path channel (staged and batched names).
 TRANSLATION_CHANNELS: Dict[str, str] = {
     "unit_for": "UNIT",
     "unit_tuple": "UNIT",
     "units": "UNIT",
     "tlb_pairs": "TLB_PAIR",
     "_tlbs": "TLB_PAIR",
+    "l1": "L1_TLB",
     "l1t": "L1_TLB",
+    "L1_TLB": "L1_TLB",
+    "l2": "L2_TLB",
     "l2t": "L2_TLB",
+    "L2_TLB": "L2_TLB",
     "l2_tlb_latency": "L2_TLB",
-    "walk_inline": "WALK",
-    "walk_latency": "WALK",
+    "walk": "WALK",
     "walker": "WALK",
     "walkers": "WALK",
-    "walk": "WALK",
+    "walk_cache": "WALK",
+    "step_tab": "WALK",
+    "remote_tracker": "RT",
+    "remote_trackers": "RT",
     "window_mask": "MASK",
     "valid_mask_for": "MASK",
     "TLBEntry": "TLB_INSERT",
 }
 
+#: Levels whose order must match the staged ``TranslationPath.access``.
+TRANSLATION_LEVELS = ("L1_TLB", "L2_TLB", "WALK")
+#: Every translation token but the two a pass-1 function records a head
+#: with (its unit and fill mask).
+PASS1_TRANSLATION_BAN = {
+    token: channel for token, channel in TRANSLATION_CHANNELS.items()
+    if token not in ("unit_tuple", "window_mask")
+}
+HIERARCHY_FILE = "tlb/hierarchy.py"
+
 #: The batched engine's one data-path implementation (pass 2), which
 #: must agree with the staged stage.
 DATA_PASS_FUNC = "data_pass"
 
-#: The batched pass-1 functions: faults, translation and accounting
-#: only, never a data-path channel.
+TRANSLATION_PASS_FUNC = "translation_pass"
+
+#: The batched pass-1 functions: faults and accounting, recording heads
+#: and data accesses, never a data-path or translation channel.
 PASS1_FUNCS = ("scalar_one", "small_window", "vec_window", "batch_faults")
 
 
@@ -226,17 +244,38 @@ def _first_occurrence(stream: Sequence[str]) -> Tuple[str, ...]:
     return tuple(seen)
 
 
-def _collapse(stream: Sequence[str]) -> Tuple[str, ...]:
-    out: List[str] = []
-    for channel in stream:
-        if not out or out[-1] != channel:
-            out.append(channel)
-    return tuple(out)
-
-
 def _data_sequence(func: ast.FunctionDef) -> Tuple[str, ...]:
     return _first_occurrence(_tokens_in_order(_body_nodes(func),
                                               DATA_CHANNELS))
+
+
+def _translation_sequence(func: ast.FunctionDef) -> Tuple[str, ...]:
+    """First-occurrence order of the translation levels in ``func``,
+    skipping any statement guarded by ``multi_page``."""
+    nodes: List[ast.AST] = []
+    for stmt in func.body:
+        if isinstance(stmt, ast.If) and any(
+            isinstance(n, ast.Attribute) and n.attr == "multi_page"
+            for n in ast.walk(stmt.test)
+        ):
+            continue
+        nodes.extend(iter_nodes_in_order(stmt))
+    stream = _tokens_in_order(nodes, TRANSLATION_CHANNELS)
+    return _first_occurrence(
+        [ch for ch in stream if ch in TRANSLATION_LEVELS]
+    )
+
+
+def _translation_reference(project: Project) -> Tuple[str, ...]:
+    """Level order of ``TranslationPath.access`` (canonical without it)."""
+    hierarchy = project.source(HIERARCHY_FILE)
+    path_cls = (
+        _find_class(hierarchy, "TranslationPath") if hierarchy else None
+    )
+    access = _find_function(path_cls, "access") if path_cls else None
+    if access is None:
+        return TRANSLATION_LEVELS
+    return _translation_sequence(access)
 
 
 def _ring_payload_literal(func: ast.FunctionDef) -> Optional[int]:
@@ -431,11 +470,11 @@ def _check_epoch_routing(src: SourceFile) -> Iterator[Finding]:
 
 @register("RPR004", "engine-parity")
 def check_engine_parity(project: Project) -> Iterator[Finding]:
-    """The staged ``DataStage`` and the batched ``data_pass`` must
-    consult the memory hierarchy in the same normalized order, pass 1
-    must touch no data channel, and the engines must agree on the ring
-    payload constant, route epochs through ``close_epoch``, and share
-    one translation head (DESIGN.md §7)."""
+    """The batched ``data_pass`` and ``translation_pass`` must visit
+    their levels in the order of the staged ``DataStage.process`` and
+    ``TranslationPath.access``, pass 1 must touch neither, and the
+    engines must agree on the ring payload constant and route epochs
+    through ``close_epoch`` (DESIGN.md §7)."""
     pipeline = project.source(PIPELINE_FILE)
     batch = project.source(BATCH_FILE)
     if pipeline is None or batch is None:
@@ -479,12 +518,36 @@ def check_engine_parity(project: Project) -> Iterator[Finding]:
                 "the engines have drifted (DESIGN.md §7 bit-identity)",
             )
 
-    # --- pass 1: faults, translation and accounting only ---
+    # --- pass 2: the one batched translation path ---
+    translation_pass = _find_function(batch, TRANSLATION_PASS_FUNC)
+    if translation_pass is None:
+        yield _finding(
+            batch,
+            batch.tree,
+            f"batched translation pass {TRANSLATION_PASS_FUNC}() not "
+            "found; the DESIGN.md §7 parity argument names one "
+            "translation implementation",
+        )
+    else:
+        reference_levels = _translation_reference(project)
+        levels = _translation_sequence(translation_pass)
+        if levels != reference_levels:
+            yield _finding(
+                batch,
+                translation_pass,
+                f"translation order of {TRANSLATION_PASS_FUNC}() is "
+                f"{' -> '.join(levels)} but TranslationPath.access "
+                f"visits {' -> '.join(reference_levels)}; the translation "
+                "pass has drifted from the staged path (DESIGN.md §7)",
+            )
+
+    # --- pass 1: faults and accounting, recording only ---
     for name in PASS1_FUNCS:
         func = _find_function(batch, name)
         if func is None:
             continue
-        touched = _tokens_in_order(_body_nodes(func), DATA_CHANNELS)
+        body = _body_nodes(func)
+        touched = _tokens_in_order(body, DATA_CHANNELS)
         if touched:
             yield _finding(
                 batch,
@@ -493,6 +556,17 @@ def check_engine_parity(project: Project) -> Iterator[Finding]:
                 f"({' -> '.join(_first_occurrence(touched))}); pass 1 "
                 "only records physical addresses and homes, and the "
                 f"data path belongs to {DATA_PASS_FUNC}() (DESIGN.md §7)",
+            )
+        translated = _tokens_in_order(body, PASS1_TRANSLATION_BAN)
+        if translated:
+            yield _finding(
+                batch,
+                func,
+                f"{name}() touches translation channels "
+                f"({' -> '.join(_first_occurrence(translated))}); pass 1 "
+                "only records translation heads (unit_tuple, "
+                "window_mask), and the TLBs, walks and Remote Trackers "
+                f"belong to {TRANSLATION_PASS_FUNC}() (DESIGN.md §7)",
             )
 
     # --- ring payload constant ---
@@ -510,46 +584,6 @@ def check_engine_parity(project: Project) -> Iterator[Finding]:
             f"{staged_payload} bytes, batched _TRANSFER_BYTES is "
             f"{batch_payload}",
         )
-
-    # --- translation head sharing ---
-    translate_head = _find_function(batch, "translate_head")
-    if translate_head is not None:
-        head_seq = _collapse(
-            _tokens_in_order(
-                _body_nodes(translate_head), TRANSLATION_CHANNELS
-            )
-        )
-        for name in ("small_window", "vec_window"):
-            func = _find_function(batch, name)
-            if func is not None and not _calls_function(
-                func, "translate_head"
-            ):
-                yield _finding(
-                    batch,
-                    func,
-                    f"{name}() does not route translation through "
-                    "translate_head(); a fourth inlined translation "
-                    "copy breaks the parity argument",
-                )
-        scalar = _find_function(batch, "scalar_one")
-        if scalar is not None and not _calls_function(
-            scalar, "translate_head"
-        ):
-            # scalar_one inlines the head (fault path); its translation
-            # prefix must replay the head's exact channel sequence.
-            full = _tokens_in_order(
-                _body_nodes(scalar), TRANSLATION_CHANNELS
-            )
-            scalar_seq = _collapse(full)[: len(head_seq)]
-            if scalar_seq != head_seq:
-                yield _finding(
-                    batch,
-                    scalar,
-                    "scalar_one()'s inlined translation sequence "
-                    f"({' -> '.join(scalar_seq)}) does not match "
-                    f"translate_head ({' -> '.join(head_seq)}); the "
-                    "fault-path copy has drifted",
-                )
 
     # --- vectorized fault-path routing ---
     yield from _check_fault_batching(batch)

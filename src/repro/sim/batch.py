@@ -7,24 +7,26 @@ array arithmetic.  This module partitions each chunk of the trace into
 *steady-state windows* — maximal runs of accesses whose pages are
 already mapped, which cross no epoch or kernel boundary and trigger no
 policy callback — and replays each chunk in two passes.  Pass 1 (the
-windows, the scalar fallback and the fault path) handles faults,
-translation and accounting and only *records* each access's physical
-address and home chiplet; pass 2, ``data_pass``, then replays the whole
-chunk's data path with NumPy:
+windows, the scalar fallback and the fault path) handles faults and
+accounting and only *records* each access's translation head, physical
+address and home chiplet; pass 2 then replays the records level by
+level, ``translation_pass`` (:class:`TranslationReplay`) for the
+translation path and ``data_pass`` for the data path:
 
 * **page-base derivation and classification** — one ``np.unique`` over
-  the chunk's granule-page keys, one page-table lookup per unique page,
-  and vectorized physical address / home-chiplet derivation for every
-  window access from the per-unique arrays;
-* **translation** — per-requester run-length compression over
-  translation units: the *head* of each run performs the exact
-  single-size-class translation sequence (TLB lookups and inserts,
-  page walks through the walk caches, Remote Tracker updates) inlined
-  from ``TranslationPath.access``/``PageWalker.walk``, and the tail is
-  bulk-accounted as guaranteed L1 TLB hits (the head leaves the entry
-  present, valid-bit set and MRU, and no other access of that
-  requester intervenes within the run);
-* **data path** — level by level over the recorded chunk (L1 ->
+  the chunk's granule-page keys, one page-table lookup and unit
+  resolution per unique page, and vectorized physical address /
+  home-chiplet derivation for every window access from the per-unique
+  arrays;
+* **translation heads** — per-requester run-length compression over
+  page keys: each run's *head* is recorded (unit, valid mask taken at
+  its own trace position, walk inputs) and its tail counts as
+  guaranteed L1 TLB hits (the head leaves the entry present, valid-bit
+  set and MRU, and no other access of that requester intervenes);
+* **translation pass** — per requester, the L1 TLBs over every head,
+  the L2 TLBs over the L1 misses, the walk cache over the L2 misses,
+  then the walks' step costs, stats and Remote Tracker updates;
+* **data pass** — level by level over the recorded chunk (L1 ->
   remote cache -> ring -> home L2 -> DRAM): each cache level is one
   bulk LRU replay (:func:`~repro.cache.cache.replay_lines`) over the
   references the previous level missed, the ring is a ``bincount``
@@ -36,57 +38,24 @@ chunk's data path with NumPy:
 
 Anything that is not steady state is replayed exactly, one access at a
 time: faults resolve through the staged ``FaultStage.process`` (which
-also enriches exhaustion errors), the faulting access's translation
-and accounting then run through the same inlined sequences the windows
-use (identical operation order, no staged-closure dispatch), and
-epoch/kernel callbacks fire at chunk boundaries only, after the data
-pass (chunks are clipped so boundaries never fall inside a window).
-Telemetry-instrumented and multi-page-TLB runs use the staged pipeline
-entirely (see :mod:`repro.sim.engine`).
+also enriches exhaustion errors), the faulting access is recorded as a
+head of its own and accounted inline, and epoch/kernel callbacks fire
+at chunk boundaries only, after pass 2 (chunks are clipped so
+boundaries never fall inside a window).  Telemetry-instrumented and
+multi-page-TLB runs use the staged pipeline entirely (see
+:mod:`repro.sim.engine`).
 
 **The vectorized fault path** (``batch_faults``): when the policy opts
 in via ``fault_batch_size()`` (a contract promise that ``place`` is a
 stateless single-page ``map_single`` at exactly the replay granule) and
 the run has neither bounded capacity nor host eviction, a chunk's
-first-touch faults are resolved as a batch.  One ``np.unique`` over the
-not-yet-replayed tail of the chunk finds each unmapped page's *first*
-access — which is precisely the PMM first-touch owner sample — and the
-batch then drives the unmodified staged ``FaultStage.process`` once per
-page, in trace order of those first touches.  Because qualifying
-placement reads no policy state, touches no translation/data/cache
-state, and allocates frames in the same order the scalar path would,
-hoisting the faults ahead of the intervening steady-state accesses is
-unobservable; the fault buffers, fault counters and exhaustion
-enrichment all run through the very same staged code.  Each fault's
-events are drained and its key re-resolved as it fires, and the scan
-continues with the whole tail window-eligible.  If a batched fault
-resolves to something other than a granule-size mapping (a policy
-whose hook lied), the batch *aborts at that fault*: the path is
-disabled for the rest of the run and every position simply replays
-through the exact scalar fallback.  Nothing has been replayed twice,
-the faults fired so far match the staged order exactly (each resolved
-a full granule, so no other fault could have interleaved), and
-``faults_dropped`` / ``fast_path_fraction`` accounting stays
-consistent because replay accounting only ever happens in the windows
-and ``scalar_one``.
-
-**The bulk fault path**: routing every batched fault through
-``FaultStage.process`` pays the policy dispatch, two page-table
-lookups and a per-fault event drain purely to *verify* a promise.
-When the promise is a static fact — the policy's unbound ``place`` is
-literally one of the audited in-tree implementations listed in
-:data:`AUDITED_PLACE`, whose bodies are by inspection exactly
-``pager.map_single(vaddr, granule, requester, alloc_id,
-pool_for(allocation))`` — no runtime verification is needed, and the
-batch instead inlines that sequence directly: log the fault buffer,
-pop a frame from the allocator free list, insert the PTE, drain the
-buffer.  Statement for statement the same machine mutations in the
-same order (allocation order included), minus the dispatch and the
-checks whose outcomes are already known.  Any subclass override of
-``place`` — however innocent-looking — fails the identity check and
-keeps the ``fault()``-per-fault path above, so a policy that lies
-about its contract still replays bit-identically through the abort
-protocol.
+first-touch faults are resolved as a batch, in trace order of their
+first touches — through the staged ``FaultStage.process`` with an
+abort at the first broken promise, or, when ``place`` is one of the
+audited implementations in :data:`AUDITED_PLACE`, through an inlined
+copy of the promised sequence.  Hoisting such faults ahead of the
+intervening steady-state accesses is unobservable; ``batch_faults``
+and DESIGN.md section 7 give the argument.
 
 **Why results stay bit-identical** (DESIGN.md section 7): within a
 window no page-table mutation can occur, so resolving records up front
@@ -96,19 +65,25 @@ replaying it access-major; run tails are provably L1 TLB hits with zero
 latency; and every counter flush is integer-exact.  The page table's
 ``generation``/event log guarantees staleness is *detected* rather than
 assumed away: any mutation between windows re-resolves exactly the
-affected page keys.  Inside a chunk only the data pass touches the
-caches, ring and DRAM, and each cache set depends only on its own
-references, so replaying the chunk level by level equals the staged
-per-access interleaving.  The one other writer, the migration flush
-(``Machine.flush_data_caches_range``), first drains the recorded
-accesses through the data pass (``Machine.data_drain``), and a chunk
-that aborts drains its recorded prefix before the error propagates.
+affected page keys.  Inside a chunk only pass 2 touches the TLBs, walk
+caches, Remote Trackers, caches, ring and DRAM.  Each of those
+structures belongs to one chiplet (or one cache set, or one DRAM
+channel) and depends only on its own operations, and what one level
+installs never depends on a later level's outcome, so replaying the
+chunk level by level equals the staged per-access interleaving.  The
+other readers and writers — ``Machine.shootdown``,
+``flush_data_caches_range``, ``rt_ratio`` and ``register_allocation``,
+called by policies inside faults or between chunks — first drain the
+recorded prefix through both passes (``Machine.drain_replay``), and a
+chunk that aborts drains its recorded prefix before the error
+propagates.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -126,13 +101,7 @@ from ..tlb.tlb import TLBEntry
 from ..tlb.units import COALESCE_WINDOW_PAGES
 from ..units import PAGE_2M, PAGE_64K
 from ..vm.page_table import MappingRecord
-from .pipeline import (
-    DataStage,
-    FaultStage,
-    SimState,
-    TranslationStage,
-    close_epoch,
-)
+from .pipeline import FaultStage, SimState, close_epoch
 
 #: Accesses per chunk.  Chunks are additionally clipped at kernel starts
 #: and epoch boundaries so callbacks only ever fire between chunks.
@@ -168,6 +137,209 @@ AUDITED_PLACE = frozenset(
 )
 
 
+#: The two TLB levels, as indices into ``TranslationPath._tlbs``'s pair.
+L1_TLB, L2_TLB = 0, 1
+
+#: Spans of the page-walk levels: level 1 and 2 entries cover 512GB and
+#: 1GB; level 3 entries and the leaf PTE line (level 4) cover 2MB.
+_TOP_SPAN, _GB_SPAN, _LEAF_SPAN = _LEVEL_SPANS
+
+
+def _tlb_level(heads, runs, path, level: int) -> list:
+    """One TLB level of ``path`` over ``heads`` in trace order.
+
+    Each head probes the ``level`` TLB (``L1_TLB`` or ``L2_TLB``) of its
+    size class, and a miss fills it with the head's recorded mask, as
+    ``SetAssociativeTLB.lookup`` and ``insert`` do; the ``runs[i] - 1``
+    tail accesses behind head ``i`` count as hits.  Returns the heads
+    that missed, in order.
+    """
+    missed = []
+    tlb = sc_now = None
+    hits = misses = 0
+    for t, run in zip(heads, runs):
+        tag, pb, coverage, sc, mask, _, _, _, _ = t
+        if sc != sc_now:
+            if tlb is not None:
+                tlb.hits += hits
+                tlb.misses += misses
+            tlb = path._tlbs(sc)[level]
+            sets = tlb._sets
+            nsets = tlb.num_sets
+            granule = tlb.index_granule
+            ways = tlb.ways
+            sc_now = sc
+            hits = misses = 0
+        entries = sets[(tag // granule) % nsets]
+        e = entries.get(tag)
+        if e is not None and e.valid_mask >> pb & 1:
+            entries.move_to_end(tag)
+            hits += run
+            continue
+        hits += run - 1
+        misses += 1
+        missed.append(t)
+        if e is not None:
+            if e.coverage != coverage:
+                entries[tag] = TLBEntry(tag, coverage, mask)
+            else:
+                e.valid_mask |= mask
+                tlb.coalesced_merges += 1
+            entries.move_to_end(tag)
+        elif len(entries) >= ways:
+            # Refill the evicted LRU entry: nothing else holds it.
+            _, e = entries.popitem(last=False)
+            e.tag = tag
+            e.coverage = coverage
+            e.valid_mask = mask
+            entries[tag] = e
+        else:
+            entries[tag] = TLBEntry(tag, coverage, mask)
+    if tlb is not None:
+        tlb.hits += hits
+        tlb.misses += misses
+    return missed
+
+
+class TranslationReplay:
+    """Pass 2 of translation: recorded heads, replayed level by level.
+
+    Pass 1 appends each head of requester ``c`` to ``heads[c]`` as the
+    tuple ``(tag, page_bit, coverage, size_class, mask, vaddr, alloc_id,
+    leaf_chiplet, kind)`` — the unit, the valid mask its fill installs
+    and the walk's inputs — and the length of the run it starts to
+    ``runs[c]``.  :meth:`translation_pass` has the effect of
+    ``TranslationPath.access`` + ``PageWalker.walk`` per access, one
+    structure at a time (DESIGN.md section 7 gives the argument).
+    """
+
+    def __init__(self, machine) -> None:
+        config = machine.config
+        nc = config.num_chiplets
+        self.nc = nc
+        self.paths = machine.paths
+        self.walkers = machine.walkers
+        self.heads: List[list] = [[] for _ in range(nc)]
+        self.runs: List[List[int]] = [[] for _ in range(nc)]
+        self.l2_tlb_latency = config.l2_tlb.latency
+        walker = self.walkers[0]
+        self.hashed_ptes = walker.placement is not PtePlacement.LOCAL
+        hop = walker.hop_cycles
+        #: step_tab[c][holder]: cycles for chiplet ``c`` to fetch a PTE
+        #: line held by ``holder`` (L2 latency + two ring traversals).
+        self.step_tab = [
+            [
+                config.l2_latency
+                + 2 * min((h - c) % nc, (c - h) % nc) * hop
+                for h in range(nc)
+            ]
+            for c in range(nc)
+        ]
+
+    def drain(self) -> int:
+        """Replay and clear every recorded head; returns their cycles."""
+        cycles = 0
+        for c in range(self.nc):
+            if self.heads[c]:
+                cycles += self.translation_pass(c)
+        return cycles
+
+    def translation_pass(self, c: int) -> int:  # noqa: C901 - one hot path
+        """Replay requester ``c``'s recorded heads; returns the cycles."""
+        heads = self.heads[c]
+        runs = self.runs[c]
+        path = self.paths[c]
+
+        # -- 1./2. the L1 TLBs over every head, the L2s over the misses --
+        l1_miss = _tlb_level(heads, runs, path, L1_TLB)
+        walks = _tlb_level(l1_miss, repeat(1), path, L2_TLB)
+        n_miss = len(l1_miss)
+        n_walks = len(walks)
+        path.l1_hits += sum(runs) - n_miss
+        path.l2_hits += n_miss - n_walks
+        heads.clear()
+        runs.clear()
+        cycles = self.l2_tlb_latency * n_miss
+        if not n_walks:
+            return cycles
+        path.walks += n_walks
+
+        # -- 3. the walk cache: each walk's upper levels, in trace order,
+        # -- 4. with the step costs of the PTE-line fetches --
+        walker = self.walkers[c]
+        walk_cache = walker.walk_cache
+        cache = walk_cache._cache
+        capacity = walk_cache._entries
+        touch = cache.move_to_end
+        row = self.step_tab[c]
+        hashed = self.hashed_ptes
+        nc = self.nc
+        hits = misses = remote = 0
+        walk_cycles = 0
+        last_leaf = last_upper = -1
+        for t in walks:
+            vaddr = t[5]
+            leaf_key = vaddr // _LEAF_SPAN
+            if leaf_key == last_leaf:
+                # The previous walk left this walk's three upper-level
+                # entries as the cache's three most recent, in level
+                # order: three hits that leave the LRU order as it is,
+                # and the same leaf fetch.
+                hits += 3
+                walk_cycles += leaf_cycles
+                remote += leaf_remote
+                continue
+            last_leaf = leaf_key
+            upper = vaddr // _GB_SPAN
+            if upper == last_upper:
+                # Levels 1 and 2 are the previous walk's entries, two
+                # of the cache's three most recent: two hits.
+                touch(top)
+                touch(mid)
+                hits += 2
+                steps = ((3, leaf_key),)
+            else:
+                last_upper = upper
+                top = (1, vaddr // _TOP_SPAN)
+                mid = (2, upper)
+                steps = (top, mid, (3, leaf_key))
+            for ck in steps:
+                if ck in cache:
+                    touch(ck)
+                    hits += 1
+                    continue
+                misses += 1
+                if len(cache) >= capacity:
+                    cache.popitem(last=False)
+                cache[ck] = True
+                level, key = ck
+                holder = (key * 0x9E3779B1 + level) % nc if hashed else c
+                if holder != c:
+                    remote += 1
+                walk_cycles += row[holder]
+            holder = (leaf_key * 0x9E3779B1 + 4) % nc if hashed else c
+            leaf_remote = holder != c
+            leaf_cycles = row[holder]
+            walk_cycles += leaf_cycles
+            remote += leaf_remote
+        walk_cycles += WALK_CACHE_HIT_CYCLES * hits
+        walk_cache.hits += hits
+        walk_cache.misses += misses
+        stats = walker.stats
+        stats.walks += n_walks
+        stats.total_cycles += walk_cycles
+        stats.remote_steps += remote
+        stats.local_steps += misses + n_walks - remote
+        tracker = walker.remote_tracker
+        if tracker is not None:
+            update = tracker.update
+            for t in walks:
+                update(t[6], t[7] != c)
+
+        # -- 5. translation cycles --
+        return cycles + walk_cycles
+
+
 class BatchedPipeline:
     """Replays a trace through vectorized windows with staged fallback.
 
@@ -186,8 +358,6 @@ class BatchedPipeline:
         #: to the staged pipeline otherwise); ``_fold_result`` reads this.
         self.telemetry = None
         self.fault_stage = FaultStage(state, None)
-        self.translation_stage = TranslationStage(state, None)
-        self.data_stage = DataStage(state, None)
         self.fast_path_fraction: Optional[float] = None
         self.fault_batch_fraction: Optional[float] = None
 
@@ -209,8 +379,6 @@ class BatchedPipeline:
         nc = config.num_chiplets
         page_table = machine.page_table
         pt_lookup = page_table.lookup
-        paths = machine.paths
-        walkers = machine.walkers
         l1_caches = machine.l1_caches
         l2_caches = machine.l2_caches
         remote_caches = machine.remote_caches
@@ -218,10 +386,6 @@ class BatchedPipeline:
         dram = machine.dram
         l1_latency = config.l1_latency
         l2_latency = config.l2_latency
-        l2_tlb_latency = config.l2_tlb.latency
-        #: (chiplet, size_class) -> that path's (L1, L2) TLB pair, so the
-        #: inlined head translation skips the lazy-creation lookup.
-        tlb_pairs = {}
         line_size = config.cache_line
         cpc = machine.layout.channels_per_chiplet
         naive = state.interleave is InterleavePolicy.NAIVE
@@ -253,27 +417,30 @@ class BatchedPipeline:
         coalescing = caps.coalescing
         pattern = caps.pattern_coalescing
         ideal = caps.ideal_translation
+        #: Only coalesced and pattern heads (kinds 1/2) need a recorded
+        #: mask; native and ideal units always install mask ``1``.
+        masked = (coalescing or pattern) and not ideal
         granule = min(state.policy.native_sizes())
         shift = granule.bit_length() - 1
         pt_tables = page_table._tables
 
         def unit_tuple(va: int, rec) -> tuple:
-            """``unit_for`` as a plain ``(kind, tag, coverage,
-            size_class, page_bit)`` tuple.
+            """The :class:`TranslationReplay` head of an access to ``va``.
 
-            Same decision tree as :func:`repro.tlb.units.unit_for`
-            (kind 0 = native/ideal, 1 = coalesced, 2 = pattern), but
-            without constructing a frozen dataclass per resolution —
-            the hot loops resolve every unique page of every chunk and
-            re-resolve on each page-table event, so allocation cost
-            here is material.
+            :func:`repro.tlb.units.unit_for`'s decision tree (kind 0 =
+            native/ideal, 1 = coalesced, 2 = pattern) as a plain tuple,
+            since the hot loops resolve every unique page of every
+            chunk.  The mask is ``1`` for kind 0 and ``0`` for kinds
+            1/2, whose mask ``window_mask`` fills in at record time.
             """
+            aid = rec.alloc_id
+            leaf = rec.chiplet
             if ideal:
                 tag = va - va % PAGE_2M
-                return (0, tag, PAGE_2M, PAGE_2M, 0)
+                return (tag, 0, PAGE_2M, PAGE_2M, 1, va, aid, leaf, 0)
             ps = rec.page_size
             if ps > PAGE_64K or not (coalescing or pattern):
-                return (0, rec.va_base, ps, ps, 0)
+                return (rec.va_base, 0, ps, ps, 1, va, aid, leaf, 0)
             window = COALESCE_WINDOW_PAGES * ps
             if coalescing:
                 group = rec.contiguity_size
@@ -281,119 +448,55 @@ class BatchedPipeline:
                     span = window if group > window else group
                     off = rec.va_base - rec.contiguity_base
                     base = rec.contiguity_base + off - off % span
-                    return (1, base, span, ps, (rec.va_base - base) // ps)
+                    pb = (rec.va_base - base) // ps
+                    return (base, pb, span, ps, 0, va, aid, leaf, 1)
             if pattern:
                 base = rec.va_base - rec.va_base % window
-                return (2, base, window, ps, (rec.va_base - base) // ps)
-            return (0, rec.va_base, ps, ps, 0)
+                pb = (rec.va_base - base) // ps
+                return (base, pb, window, ps, 0, va, aid, leaf, 2)
+            return (rec.va_base, 0, ps, ps, 1, va, aid, leaf, 0)
 
-        def window_mask(kind, tag, coverage, size_class, pb, rec) -> int:
-            """``valid_mask_for`` for coalesced/pattern units (kind
-            1/2; native and ideal units are always mask ``1``).
+        #: Valid masks without the page's own bit, per unit, as of page
+        #: table generation ``mask_gen``: the pages of one coalesced
+        #: group share their unit's mask until the next mutation.
+        mask_memo: dict = {}
+        mask_gen = -1
 
-            Probes the page table's per-size bucket directly: only
-            PTEs of exactly ``size_class`` can contribute valid bits,
-            and promotion removes the base PTEs it replaces, so sizes
-            never overlap a vaddr.
+        def window_mask(t: tuple, rec) -> int:
+            """``valid_mask_for`` of the kind 1/2 head ``t`` at this
+            trace position, the PTEs its fill reads.  Probes only the
+            ``size_class`` bucket: promotion removes the base PTEs it
+            replaces, so sizes never overlap a vaddr.
             """
-            table = pt_tables.get(size_class)
-            if table is None:
-                return 1 << pb
-            probe = table.get
-            base_vpn = tag // size_class
-            require_region = rec.region if kind == 1 else None
-            mask = 0
-            for i in range(coverage // size_class):
-                cand = probe(base_vpn + i)
-                if cand is None:
-                    continue
-                if (
-                    require_region is not None
-                    and cand.region is not require_region
-                ):
-                    continue
-                mask |= 1 << i
+            nonlocal mask_gen
+            tag, pb, coverage, size_class, _, _, _, _, kind = t
+            if page_table.generation != mask_gen:
+                mask_memo.clear()
+                mask_gen = page_table.generation
+            region = rec.region if kind == 1 else None
+            key = (tag, coverage, size_class, id(region))
+            mask = mask_memo.get(key)
+            if mask is None:
+                mask = 0
+                table = pt_tables.get(size_class)
+                if table is not None:
+                    probe = table.get
+                    base_vpn = tag // size_class
+                    for i in range(coverage // size_class):
+                        cand = probe(base_vpn + i)
+                        if cand is not None and (
+                            region is None or cand.region is region
+                        ):
+                            mask |= 1 << i
+                mask_memo[key] = mask
             return mask | (1 << pb)
 
-        # --- page-walk bindings (PageWalker.walk, inlined) ---
-        wcaches = [w.walk_cache for w in walkers]
-        wdicts = [w.walk_cache._cache for w in walkers]
-        wstats = [w.stats for w in walkers]
-        wtrackers = [w.remote_tracker for w in walkers]
-        wc_entries = wcaches[0]._entries
-        local_ptes = walkers[0].placement is PtePlacement.LOCAL
-        hop_c = walkers[0].hop_cycles
-        #: step_tab[c][holder] = cycles for chiplet ``c`` to fetch a PTE
-        #: line held by ``holder`` (L2 latency + two ring traversals).
-        step_tab = [
-            [
-                l2_latency
-                + 2 * min((h - c) % nc, (c - h) % nc) * hop_c
-                for h in range(nc)
-            ]
-            for c in range(nc)
-        ]
-        span1, span2, span3 = _LEVEL_SPANS
-
-        def walk_inline(
-            c: int,
-            vaddr: int,
-            aid: int,
-            leaf: int,
-            # Bound as defaults so the loop body uses local loads
-            # instead of closure-cell dereferences (hot path).
-            wdicts=wdicts,
-            wcaches=wcaches,
-            wstats=wstats,
-            step_tab=step_tab,
-            wc_entries=wc_entries,
-            local_ptes=local_ptes,
-            nc=nc,
-            span1=span1,
-            span2=span2,
-            span3=span3,
-            wtrackers=wtrackers,
-        ) -> int:
-            """``PageWalker.walk`` with the walk cache, step-cost hash
-            and stats updates inlined (same counters, same order)."""
-            cache = wdicts[c]
-            wc = wcaches[c]
-            st = wstats[c]
-            row = step_tab[c]
-            cycles = 0
-            for level, key in (
-                (1, vaddr // span1),
-                (2, vaddr // span2),
-                (3, vaddr // span3),
-                (4, vaddr // span3),
-            ):
-                if level < 4:
-                    ck = (level, key)
-                    if ck in cache:
-                        cache.move_to_end(ck)
-                        wc.hits += 1
-                        cycles += WALK_CACHE_HIT_CYCLES
-                        continue
-                    wc.misses += 1
-                    if len(cache) >= wc_entries:
-                        cache.popitem(last=False)
-                    cache[ck] = True
-                holder = (
-                    c
-                    if local_ptes
-                    else (key * 0x9E3779B1 + level) % nc
-                )
-                if holder != c:
-                    st.remote_steps += 1
-                else:
-                    st.local_steps += 1
-                cycles += row[holder]
-            st.walks += 1
-            st.total_cycles += cycles
-            rt = wtrackers[c]
-            if rt is not None:
-                rt.update(aid, is_remote=leaf != c)
-            return cycles
+        # --- translation pass (pass 2) and its head records ---
+        replay = TranslationReplay(machine)
+        #: heads[c] / runs[c]: requester ``c``'s recorded heads and the
+        #: length of the run each one starts, in trace order.
+        heads = replay.heads
+        runs = replay.runs
 
         per_structure = state.per_structure
         alloc_ids_present = list(per_structure)
@@ -576,108 +679,34 @@ class BatchedPipeline:
             # closure-cell dereferences (this runs once per page fault).
             chiplets=chiplets,
             vaddrs=vaddrs,
-            paths=paths,
-            tlb_pairs=tlb_pairs,
-            l2_tlb_latency=l2_tlb_latency,
+            heads=heads,
+            runs=runs,
             per_structure=per_structure,
             naive=naive,
             nc=nc,
             wants_stats=wants_stats,
         ) -> Tuple[int, int]:
-            """One access through the exact staged fault stage, with
-            translation and accounting inlined; returns the access's
-            physical address and home chiplet for the data pass.
+            """One access through the exact staged fault stage, with its
+            translation head recorded and its accounting inlined;
+            returns the access's physical address and home chiplet for
+            the data pass.
 
             ``FaultStage.process`` runs unmodified (fault buffering,
-            policy placement, error enrichment); the rest mirrors
-            ``TranslationStage.process`` statement for statement —
-            including passing the *raw* vaddr to the page walker, which
-            the staged stage does too — so fault-path accesses stay
-            bit-identical without paying the staged closures' dispatch
-            and allocation overhead.
+            policy placement, error enrichment).  Every fault-path
+            access is a head of its own, translated by the translation
+            pass like a window head; the accounting mirrors
+            ``AccountingStage.process`` statement for statement.
             """
-            nonlocal vec_translation
             nonlocal acc_remote_placement, acc_epoch_remote
             nonlocal acc_epoch_accesses
             c = int(chiplets[i])
             va = int(vaddrs[i])
             rec = fault(i, c, va)
-
-            # -- translation (TranslationStage.process, inlined) --
-            kind, tag, coverage, size_class, pb = unit_tuple(va, rec)
-            path = paths[c]
-            pair = tlb_pairs.get((c, size_class))
-            if pair is None:
-                pair = path._tlbs(size_class)
-                tlb_pairs[(c, size_class)] = pair
-            l1t, l2t = pair
-            es = l1t._sets[(tag // l1t.index_granule) % l1t.num_sets]
-            e = es.get(tag)
-            if e is not None and e.valid_mask >> pb & 1:
-                es.move_to_end(tag)
-                l1t.hits += 1
-                path.l1_hits += 1
-            else:
-                l1t.misses += 1
-                es2 = l2t._sets[
-                    (tag // l2t.index_granule) % l2t.num_sets
-                ]
-                e2 = es2.get(tag)
-                if e2 is not None and e2.valid_mask >> pb & 1:
-                    es2.move_to_end(tag)
-                    l2t.hits += 1
-                    path.l2_hits += 1
-                    mask = (
-                        window_mask(kind, tag, coverage, size_class, pb, rec)
-                        if kind
-                        else 1
-                    )
-                    if e is not None:
-                        if e.coverage != coverage:
-                            es[tag] = TLBEntry(tag, coverage, mask)
-                        else:
-                            e.valid_mask |= mask
-                            l1t.coalesced_merges += 1
-                        es.move_to_end(tag)
-                    else:
-                        if len(es) >= l1t.ways:
-                            es.popitem(last=False)
-                        es[tag] = TLBEntry(tag, coverage, mask)
-                    vec_translation += l2_tlb_latency
-                else:
-                    l2t.misses += 1
-                    walk_latency = walk_inline(
-                        c, va, rec.alloc_id, rec.chiplet
-                    )
-                    path.walks += 1
-                    mask = (
-                        window_mask(kind, tag, coverage, size_class, pb, rec)
-                        if kind
-                        else 1
-                    )
-                    if e2 is not None:
-                        if e2.coverage != coverage:
-                            es2[tag] = TLBEntry(tag, coverage, mask)
-                        else:
-                            e2.valid_mask |= mask
-                            l2t.coalesced_merges += 1
-                        es2.move_to_end(tag)
-                    else:
-                        if len(es2) >= l2t.ways:
-                            es2.popitem(last=False)
-                        es2[tag] = TLBEntry(tag, coverage, mask)
-                    if e is not None:
-                        if e.coverage != coverage:
-                            es[tag] = TLBEntry(tag, coverage, mask)
-                        else:
-                            e.valid_mask |= mask
-                            l1t.coalesced_merges += 1
-                        es.move_to_end(tag)
-                    else:
-                        if len(es) >= l1t.ways:
-                            es.popitem(last=False)
-                        es[tag] = TLBEntry(tag, coverage, mask)
-                    vec_translation += l2_tlb_latency + walk_latency
+            t = unit_tuple(va, rec)
+            if not t[4]:
+                t = t[:4] + (window_mask(t, rec),) + t[5:]
+            heads[c].append(t)
+            runs[c].append(1)
 
             pd = rec.paddr + (va - rec.va_base)
             if naive:
@@ -723,7 +752,8 @@ class BatchedPipeline:
             n_uniq = len(uniq_list)
 
             recs: List[object] = [None] * n_uniq
-            units: List[object] = [None] * n_uniq
+            #: Per unique page, the head ``unit_tuple`` builds for it.
+            templates: List[object] = [None] * n_uniq
             # Plain lists: ``resolve_j`` runs for every unique page and
             # again on every page-table event, where Python-list writes
             # beat NumPy scalar writes; ``vec_window`` materializes the
@@ -748,12 +778,12 @@ class BatchedPipeline:
                     # key no longer identifies one record): the staged
                     # fallback resolves these accesses exactly.
                     recs[j] = None
-                    units[j] = None
+                    templates[j] = None
                     ok[j] = False
                     unmapped[j] = rec is None
                     return
                 recs[j] = rec
-                units[j] = unit_tuple(va_page, rec)
+                templates[j] = unit_tuple(va_page, rec)
                 ok[j] = True
                 unmapped[j] = False
                 delta[j] = rec.paddr - rec.va_base
@@ -792,108 +822,8 @@ class BatchedPipeline:
                 last_gen = page_table.generation
                 return went_stale
 
-            def translate_head(
-                c: int,
-                j: int,
-                # Default-bound hot bindings, as in ``vec_window``.
-                units=units,
-                recs=recs,
-                uniq_list=uniq_list,
-                paths=paths,
-                tlb_pairs=tlb_pairs,
-                window_mask=window_mask,
-                walk_inline=walk_inline,
-                l2_tlb_latency=l2_tlb_latency,
-                shift=shift,
-                TLBEntry=TLBEntry,
-            ) -> int:
-                """One head translation of unique page ``j`` by chiplet
-                ``c``; returns the latency.
-
-                An exact inline of the single-size-class
-                :meth:`TranslationPath.access` path (batched runs never
-                use multi-page TLBs): every hit/miss counter, LRU
-                update, insert and walk happens in the same order, but
-                without per-call lambda/result-object allocation.
-                """
-                kind, tag, coverage, size_class, pb = units[j]
-                path = paths[c]
-                pair = tlb_pairs.get((c, size_class))
-                if pair is None:
-                    pair = path._tlbs(size_class)
-                    tlb_pairs[(c, size_class)] = pair
-                l1t, l2t = pair
-                es = l1t._sets[(tag // l1t.index_granule) % l1t.num_sets]
-                e = es.get(tag)
-                if e is not None and e.valid_mask >> pb & 1:
-                    es.move_to_end(tag)
-                    l1t.hits += 1
-                    path.l1_hits += 1
-                    return 0
-                l1t.misses += 1
-                rec = recs[j]
-                es2 = l2t._sets[
-                    (tag // l2t.index_granule) % l2t.num_sets
-                ]
-                e2 = es2.get(tag)
-                if e2 is not None and e2.valid_mask >> pb & 1:
-                    es2.move_to_end(tag)
-                    l2t.hits += 1
-                    path.l2_hits += 1
-                    mask = (
-                        window_mask(kind, tag, coverage, size_class, pb, rec)
-                        if kind
-                        else 1
-                    )
-                    if e is not None:
-                        if e.coverage != coverage:
-                            es[tag] = TLBEntry(tag, coverage, mask)
-                        else:
-                            e.valid_mask |= mask
-                            l1t.coalesced_merges += 1
-                        es.move_to_end(tag)
-                    else:
-                        if len(es) >= l1t.ways:
-                            es.popitem(last=False)
-                        es[tag] = TLBEntry(tag, coverage, mask)
-                    return l2_tlb_latency
-                l2t.misses += 1
-                walk_latency = walk_inline(
-                    c, uniq_list[j] << shift, rec.alloc_id, rec.chiplet
-                )
-                path.walks += 1
-                mask = (
-                    window_mask(kind, tag, coverage, size_class, pb, rec)
-                    if kind
-                    else 1
-                )
-                if e2 is not None:
-                    if e2.coverage != coverage:
-                        es2[tag] = TLBEntry(tag, coverage, mask)
-                    else:
-                        e2.valid_mask |= mask
-                        l2t.coalesced_merges += 1
-                    es2.move_to_end(tag)
-                else:
-                    if len(es2) >= l2t.ways:
-                        es2.popitem(last=False)
-                    es2[tag] = TLBEntry(tag, coverage, mask)
-                if e is not None:
-                    if e.coverage != coverage:
-                        es[tag] = TLBEntry(tag, coverage, mask)
-                    else:
-                        e.valid_mask |= mask
-                        l1t.coalesced_merges += 1
-                    es.move_to_end(tag)
-                else:
-                    if len(es) >= l1t.ways:
-                        es.popitem(last=False)
-                    es[tag] = TLBEntry(tag, coverage, mask)
-                return l2_tlb_latency + walk_latency
-
             def vec_window(a: int, b: int) -> None:
                 """Replay resolved accesses ``[start+a, start+b)``."""
-                nonlocal vec_translation
                 nonlocal acc_remote_placement, acc_epoch_remote
                 nonlocal acc_epoch_accesses, vec_arrays
 
@@ -919,33 +849,39 @@ class BatchedPipeline:
                 pd_buf[a:b] = paddr
                 hm_buf[a:b] = home
 
-                # -- translation: per-requester run compression --
-                tcyc = 0
-                for c in range(nc):
-                    sel = np.flatnonzero(ch_seg == c)
-                    if not sel.size:
+                # -- translation heads: per-requester run compression --
+                # Stable-sorted by requester, a head is an access whose
+                # requester or page key differs from its predecessor's.
+                order = np.argsort(ch_seg.astype(np.int16), kind="stable")
+                c_by = ch_seg[order]
+                j_by = inv_seg[order]
+                change = np.empty(b - a, dtype=bool)
+                change[0] = True
+                np.not_equal(j_by[1:], j_by[:-1], out=change[1:])
+                change[1:] |= c_by[1:] != c_by[:-1]
+                head_pos = np.flatnonzero(change)
+                run_lens = np.diff(np.append(head_pos, b - a)).tolist()
+                js = j_by[head_pos].tolist()
+                lo = 0
+                for c, k in enumerate(
+                    np.bincount(c_by[head_pos], minlength=nc).tolist()
+                ):
+                    if not k:
                         continue
-                    useq = inv_seg[sel]
-                    change = np.empty(useq.size, dtype=bool)
-                    change[0] = True
-                    if useq.size > 1:
-                        np.not_equal(useq[1:], useq[:-1], out=change[1:])
-                    head_pos = np.flatnonzero(change)
-                    run_lens = np.diff(
-                        np.append(head_pos, useq.size)
-                    ).tolist()
-                    path = paths[c]
-                    for j, rl in zip(useq[head_pos].tolist(), run_lens):
-                        tcyc += translate_head(c, j)
-                        if rl > 1:
-                            # The head left the L1 TLB entry present,
-                            # valid-bit set and MRU; the tail is pure L1
-                            # hits at zero latency.  The head guarantees
-                            # ``tlb_pairs`` holds this (c, size_class).
-                            tails = rl - 1
-                            tlb_pairs[(c, units[j][3])][0].hits += tails
-                            path.l1_hits += tails
-                vec_translation += tcyc
+                    hi = lo + k
+                    runs[c] += run_lens[lo:hi]
+                    if masked:
+                        heads[c] += [
+                            t if t[4] else
+                            t[:4] + (window_mask(t, recs[j]),) + t[5:]
+                            for t, j in zip(
+                                map(templates.__getitem__, js[lo:hi]),
+                                js[lo:hi],
+                            )
+                        ]
+                    else:
+                        heads[c] += map(templates.__getitem__, js[lo:hi])
+                    lo = hi
 
                 # -- accounting: bincount reductions --
                 aid_seg = alloc_np[inv_seg]
@@ -994,8 +930,8 @@ class BatchedPipeline:
                 ch_list=ch_list,
                 va_list=va_list,
                 inv_list=inv_list,
-                paths=paths,
-                tlb_pairs=tlb_pairs,
+                heads=heads,
+                runs=runs,
                 per_structure=per_structure,
                 naive=naive,
                 nc=nc,
@@ -1004,16 +940,14 @@ class BatchedPipeline:
                 """Fused scalar replay of resolved accesses [a, b).
 
                 Exactly the semantics of ``vec_window`` — run-compressed
-                translation, recorded physical addresses and homes,
-                per-access accounting — but in plain Python, so short
-                fault-to-fault runs (the first-touch wave of a workload
-                faults every handful of accesses) skip the fixed NumPy
-                setup of a vectorized window.
+                translation heads, recorded physical addresses and
+                homes, per-access accounting — but in plain Python, so
+                short fault-to-fault runs (the first-touch wave of a
+                workload faults every handful of accesses) skip the
+                fixed NumPy setup of a vectorized window.
                 """
-                nonlocal vec_translation
                 nonlocal acc_remote_placement, acc_epoch_remote
                 nonlocal acc_epoch_accesses
-                tcyc = 0
                 pds = []
                 hms = []
                 last_j = [-1] * nc
@@ -1028,15 +962,15 @@ class BatchedPipeline:
                     j = inv_list[p]
                     rec = recs[j]
                     if last_j[c] == j:
-                        # Same unit as this requester's previous access
-                        # in the window: a guaranteed zero-latency L1
-                        # TLB hit (see vec_window's tail argument; the
-                        # head populated ``tlb_pairs`` for this pair).
-                        path = paths[c]
-                        tlb_pairs[(c, units[j][3])][0].hits += 1
-                        path.l1_hits += 1
+                        # A tail of this requester's run: one more
+                        # guaranteed L1 TLB hit behind its head.
+                        runs[c][-1] += 1
                     else:
-                        tcyc += translate_head(c, j)
+                        t = templates[j]
+                        if not t[4]:
+                            t = t[:4] + (window_mask(t, rec),) + t[5:]
+                        heads[c].append(t)
+                        runs[c].append(1)
                         last_j[c] = j
                     pd = rec.paddr + (va - rec.va_base)
                     if naive:
@@ -1065,7 +999,6 @@ class BatchedPipeline:
                                 page_stats[page_base] = counts
                             last_pb = page_base
                         counts[c] += 1
-                vec_translation += tcyc
                 pd_buf[a:b] = pds
                 hm_buf[a:b] = hms
 
@@ -1160,7 +1093,7 @@ class BatchedPipeline:
                         table[vpn] = rec
                         buf_drain[r]()
                         recs[j] = rec
-                        units[j] = unit_tuple(page_base, rec)
+                        templates[j] = unit_tuple(page_base, rec)
                         ok[j] = True
                         unmapped[j] = False
                         delta[j] = frame.paddr - page_base
@@ -1192,22 +1125,23 @@ class BatchedPipeline:
             # Unresolved positions are computed once; faults only shrink
             # the set (checked lazily via ``ok``), so the list is rebuilt
             # only when an eviction/demotion makes a resolved key stale.
-            # Positions ``[0, rel)`` are recorded; ``[done, rel)`` still
-            # await the data pass, which ``drain`` runs at the chunk's
-            # end, before any out-of-band cache flush, and on an abort.
+            # Positions ``[0, rel)`` are recorded; their translation
+            # heads and the data path of ``[done, rel)`` still await
+            # pass 2, which ``drain`` runs at the chunk's end, before any
+            # out-of-band TLB, Remote Tracker or cache operation, and on
+            # an abort.
             done = 0
             rel = 0
 
             def drain() -> None:
-                nonlocal done
+                nonlocal done, vec_translation
+                vec_translation += replay.drain()
                 if rel > done:
-                    data_pass(
-                        ch_chunk[done:rel], pd_buf[done:rel],
-                        hm_buf[done:rel],
-                    )
+                    lo = done
                     done = rel
+                    data_pass(ch_chunk[lo:rel], pd_buf[lo:rel], hm_buf[lo:rel])
 
-            machine.data_drain = drain
+            machine.replay_drain = drain
             try:
                 ok_np = np.array(ok, dtype=bool)
                 bad_list = np.flatnonzero(~ok_np[inv]).tolist()
@@ -1249,7 +1183,7 @@ class BatchedPipeline:
                         rel += 1
             finally:
                 drain()
-                machine.data_drain = None
+                machine.replay_drain = None
 
         # --- chunk loop with kernel/epoch clipping ---
         ks_i = 0
@@ -1289,11 +1223,9 @@ class BatchedPipeline:
             # Bulk-path faults bypass FaultStage entirely; fold them
             # into the same total its finish() just published.
             state.faults += bulk_faults
-            self.translation_stage.finish()
-            self.data_stage.finish()
-            state.translation_cycles += vec_translation
-            state.data_cycles += vec_data
-            state.remote_on_ring += vec_on_ring
+            state.translation_cycles = vec_translation
+            state.data_cycles = vec_data
+            state.remote_on_ring = vec_on_ring
             state.remote_placement = acc_remote_placement
             state.epoch_remote = acc_epoch_remote
             state.epoch_accesses = acc_epoch_accesses

@@ -104,9 +104,8 @@ class Machine:
             self.remote_caches = [
                 make_remote_cache(remote_cache, config) for _ in range(n)
             ]
-        #: Set by the batched engine while a chunk's data pass is
-        #: pending (see :meth:`flush_data_caches_range`).
-        self.data_drain: Optional[Callable[[], None]] = None
+        #: Set by the batched engine while a chunk's replay is pending.
+        self.replay_drain: Optional[Callable[[], None]] = None
         self.dram = DramChannelModel(
             num_channels=self.layout.total_channels,
             trcd=config.trcd,
@@ -120,13 +119,24 @@ class Machine:
     def num_chiplets(self) -> int:
         return self.config.num_chiplets
 
+    def drain_replay(self) -> None:
+        """Replay what the batched engine has recorded of its chunk.
+
+        Every method below that touches TLB, Remote Tracker or cache
+        state runs this first, so it sees the recorded accesses applied.
+        """
+        if self.replay_drain is not None:
+            self.replay_drain()
+
     def register_allocation(self, alloc_id: int) -> None:
         """Announce an allocation ID to every chiplet's Remote Tracker."""
+        self.drain_replay()
         for tracker in self.remote_trackers:
             tracker.register(alloc_id)
 
     def rt_ratio(self, alloc_id: int) -> float:
         """Aggregate remote ratio estimate across chiplet RTs (drains them)."""
+        self.drain_replay()
         accesses = 0
         remotes = 0
         for tracker in self.remote_trackers:
@@ -137,18 +147,13 @@ class Machine:
 
     def shootdown(self, tag: int, size_class: int) -> None:
         """Invalidate a translation unit in every chiplet's TLBs."""
+        self.drain_replay()
         for path in self.paths:
             path.shootdown(tag, size_class)
 
     def flush_data_caches_range(self, paddr: int, size: int) -> None:
-        """Drop cached lines for a migrated physical range.
-
-        A replay engine that defers data-path work installs
-        ``data_drain``; it runs first, so the accesses recorded before
-        the flush reach the caches before the flush does.
-        """
-        if self.data_drain is not None:
-            self.data_drain()
+        """Drop cached lines for a migrated physical range."""
+        self.drain_replay()
         for cache in self.l1_caches:
             cache.invalidate_range(paddr, size)
         for cache in self.l2_caches:

@@ -18,7 +18,8 @@ and the report script share:
   :class:`TimingParams`, the interleave/remote-cache/seed knobs and a
   schema version — change any input and the key changes, so stale
   entries can never be returned for new inputs;
-* identical cells within one batch are deduplicated (simulated once).
+* identical cells simulate once per runner, across its batches too
+  (through the result cache, or the runner's own map when it is off).
 
 Cells run with a fixed seed regardless of scheduling order, so serial,
 parallel and cached executions of the same sweep produce identical
@@ -758,6 +759,9 @@ class SweepRunner:
                     "travel through the telemetry-free result cache)"
                 )
         self.stats = SweepStats()
+        #: fingerprint -> result of each cell simulated with the result
+        #: cache and telemetry off, so a later batch need not re-run it
+        self._simulated: Dict[str, SimResult] = {}
         #: injectable for tests: how retry backoff actually waits
         self._sleep = time.sleep
 
@@ -850,6 +854,12 @@ class SweepRunner:
             if key in leaders:
                 self.stats.deduped += 1
                 continue
+            earlier = self._simulated.get(key)
+            if earlier is not None:
+                results[i] = earlier
+                leaders[key] = i
+                self.stats.deduped += 1
+                continue
             # Cached results carry no telemetry, so a telemetry sweep
             # re-simulates everything to produce its per-cell dumps.
             # Coordinator mode classifies its own cache hits (journaled
@@ -881,6 +891,10 @@ class SweepRunner:
                     self.cache.quarantined - quarantined_at_start
                 )
 
+        if self.cache is None and not self.telemetry:
+            for i in pending:
+                if results[i] is not None:
+                    self._simulated[keys[i]] = results[i]
         # Fan shared results back out to duplicate cells.
         for i, key in enumerate(keys):
             if results[i] is None:

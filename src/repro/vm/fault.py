@@ -175,9 +175,14 @@ class DemandPager:
 
         Frames already backing mapped pages stay where they are; the
         *unused remainder* of the reserved frame returns to the base-page
-        free list.  Pages already mapped keep translating but lose the
-        group-contiguity metadata (``region.released`` makes
-        :attr:`MappingRecord.contiguity_size` fall back to the page size).
+        free list.  Pages already mapped keep translating and keep their
+        group-contiguity metadata: neither
+        :attr:`MappingRecord.contiguity_base` nor
+        :attr:`MappingRecord.contiguity_size` reads ``region.released``,
+        so a released region still anchors contiguity for the pages
+        mapped into it (Section 4.6).  ``released`` only makes
+        :meth:`ensure_region` refuse the region and a second release a
+        no-op.
 
         Mapped slots are compacted conservatively: we return only the
         trailing never-touched sub-frames.  Because demand mapping into a

@@ -1,12 +1,15 @@
 # ruff: noqa
-"""Bad fixture: five distinct parity violations.
+"""Bad fixture: seven distinct parity violations.
 
 * ``data_pass`` consults DRAM before the ring (drifted memory-path
   order);
-* ``scalar_one`` probes the L1 itself, ahead of the data pass;
+* ``scalar_one`` probes the L1 data cache itself, ahead of the data
+  pass;
 * ``_TRANSFER_BYTES`` disagrees with the staged 32-byte payload;
-* ``small_window`` inlines its own translation instead of routing
-  through ``translate_head``;
+* ``small_window`` probes the L1 TLB itself, ahead of the translation
+  pass;
+* ``translation_pass`` walks before it probes the L2 TLB (drifted
+  translation order);
 * the epoch callback fires directly from ``run_chunk`` instead of
   going through ``close_epoch`` (which is never called at all).
 """
@@ -14,31 +17,33 @@
 _TRANSFER_BYTES = 64
 
 
-def translate_head(units, l1t, l2t, walkers):
-    unit = units.lookup()
-    if l1t.hit(unit):
-        return 1
-    if l2t.hit(unit):
-        return 2
-    return walkers.walk(unit)
-
-
-def scalar_one(ctx, records, l1_caches, units, l1t, l2t, walkers):
-    translate_head(units, l1t, l2t, walkers)
+def scalar_one(ctx, heads, records, l1_caches, unit_tuple):
+    heads.append(unit_tuple(ctx))
     if not l1_caches.lookup(ctx):
         records.append(ctx)
 
 
-def small_window(window, records, units, l1t, l2t, walkers):
+def small_window(window, heads, records, templates, l1t):
     for ctx in window:
-        unit = units.lookup()
-        l1t.hit(unit)
+        if not l1t.hit(templates[ctx]):
+            heads.append(templates[ctx])
         records.append(ctx)
 
 
-def vec_window(window, records, units, l1t, l2t, walkers):
-    translate_head(units, l1t, l2t, walkers)
+def vec_window(window, heads, records, templates):
+    heads.extend(templates[ctx] for ctx in window)
     records.extend(window)
+
+
+def translation_pass(heads, l1t, l2t, walker):
+    total = 0
+    for head in heads:
+        if l1t.hit(head):
+            continue
+        total += walker.walk(head)
+        if l2t.hit(head):
+            total += 1
+    return total
 
 
 def data_pass(records, l1_caches, remote_caches, l2_latency, ring, dram):

@@ -151,10 +151,11 @@ def test_engine_parity_bad_fixture_fires():
     assert "the engines have drifted" in text
     assert "scalar_one() touches data-path channels (L1)" in text
     assert "ring transfer payload drifted" in text
-    assert "small_window() does not route translation" in text
+    assert "small_window() touches translation channels (L1_TLB)" in text
+    assert "translation order of translation_pass()" in text
     assert "policy.on_epoch called outside close_epoch()" in text
     assert "never calls close_epoch()" in text
-    assert len(findings) == 6
+    assert len(findings) == 7
 
 
 def test_engine_parity_bad_names_both_orders():
@@ -162,6 +163,13 @@ def test_engine_parity_bad_names_both_orders():
     drift = next(f for f in findings if "drifted (DESIGN" in f.message)
     assert "L1 -> REMOTE_CACHE -> L2 -> DRAM -> RING" in drift.message
     assert "L1 -> REMOTE_CACHE -> L2 -> RING -> DRAM" in drift.message
+
+
+def test_engine_parity_bad_names_both_translation_orders():
+    findings = lint_fixture("engine_parity_bad", select=["RPR004"])
+    drift = next(f for f in findings if "translation order" in f.message)
+    assert "is L1_TLB -> WALK -> L2_TLB" in drift.message
+    assert "visits L1_TLB -> L2_TLB -> WALK" in drift.message
 
 
 def test_engine_parity_good_fixture_clean():
@@ -577,6 +585,40 @@ def test_cache_access_in_small_window_fails_lint(mutable_tree):
     findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
     assert any(
         "small_window() touches data-path channels (L1)" in f.message
+        for f in findings
+    )
+
+
+def test_tlb_probe_in_small_window_fails_lint(mutable_tree):
+    # The drift the translation pass forbids: a TLB probe put back into
+    # a pass-1 window runs ahead of the heads the translation pass has
+    # not replayed yet.
+    reintroduce(
+        mutable_tree / "sim" / "batch.py",
+        "                        last_j[c] = j\n",
+        "                        last_j[c] = j\n"
+        "                        l1t = machine.paths[c]._tlbs(t[3])[0]\n"
+        "                        l1t.lookup(t[0], t[1])\n",
+    )
+    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
+    assert any(
+        "small_window() touches translation channels (L1_TLB" in f.message
+        for f in findings
+    )
+
+
+def test_walk_ahead_of_tlbs_in_translation_pass_fails_lint(mutable_tree):
+    # The translation pass must visit the levels in the staged order: a
+    # walk ahead of the TLB probes is the drift the order check catches.
+    reintroduce(
+        mutable_tree / "sim" / "batch.py",
+        "        l1_miss = _tlb_level(",
+        "        walker = self.walkers[c]\n        l1_miss = _tlb_level(",
+    )
+    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
+    assert any(
+        "translation order of translation_pass() is "
+        "WALK -> L1_TLB -> L2_TLB" in f.message
         for f in findings
     )
 

@@ -93,6 +93,30 @@ def test_duplicate_cells_simulate_once():
     assert results[0] == results[1]
 
 
+def test_later_batch_reuses_cells_without_cache():
+    # With the result cache off the runner itself remembers what it
+    # simulated: a cell repeated in a later batch (one experiment's cell
+    # in the next experiment) simulates nothing and counts as deduped.
+    runner = SweepRunner(jobs=1, use_cache=False)
+
+    def shared_cell():
+        return SweepCell(small_spec(), StaticPaging(PAGE_64K))
+
+    first = runner.run_cells([shared_cell()])
+    assert (runner.stats.simulated, runner.stats.deduped) == (1, 0)
+    second = runner.run_cells(
+        [shared_cell(), SweepCell(small_spec(), ClapPolicy())]
+    )
+    assert runner.stats.simulated == 2
+    assert runner.stats.deduped == 1
+    assert runner.stats.cells == 3
+    assert second[0] == first[0]
+    fresh = SweepRunner(jobs=1, use_cache=False).run_cells(
+        [SweepCell(small_spec(), ClapPolicy())]
+    )
+    assert second[1] == fresh[0]
+
+
 class _NonPicklablePolicy(StaticPaging):
     """A policy carrying an unpicklable attribute (closure)."""
 

@@ -6,11 +6,12 @@ the stack; after every sequence the machine-state validator must hold.
 This is the class of test that catches frame double-allocation and
 region bookkeeping bugs that example-based tests miss.
 
-The second half is the *engine differential suite*: 175 generated cells
+The second half is the *engine differential suite*: 190 generated cells
 replayed through both engines (staged / batched), stratified across the
-regimes where the vectorized fault path and the batched data pass could
-drift — fault-heavy first-touch traces, oversubscription eviction,
-migrating policies, multi-structure interleave, remote caches, and
+regimes where the vectorized fault path and the batched translation and
+data passes could drift — fault-heavy first-touch traces,
+oversubscription eviction, migrating policies, replay drains in the
+middle of a chunk, multi-structure interleave, remote caches, and
 capacity-exhaustion-adjacent occupancy.  Every case asserts full
 ``SimResult`` bit-identity, and every completed run's machine must pass
 the invariant validator, so the fast paths are held to the same
@@ -359,6 +360,64 @@ def test_engines_bit_identical_under_migration_policies(spec, seed, policy):
     _assert_engines_identical(
         lambda engine: run_workload(spec, policy, seed=seed, engine=engine)
     )
+
+
+@given(
+    spec=_random_spec(),
+    seed=st.integers(0, 50),
+    policy=st.sampled_from(["CLAP", "Ideal_C-NUMA", "Ideal_C-NUMA+inter"]),
+)
+@settings(max_examples=15, deadline=None)
+def test_engines_bit_identical_across_replay_drains(spec, seed, policy):
+    """The batched engine records a chunk's translation heads and
+    replays them later, so every outside reader or writer of TLB and
+    Remote Tracker state drains the replay first: CLAP's MMA reads the
+    Remote Trackers inside a fault, in the middle of a chunk
+    (``rt_ratio``), and C-NUMA shoots down TLB entries when it splits
+    and migrates pages (``shootdown``).  Both runs must agree on the
+    result, on every ratio the trackers report and on the trackers'
+    final state, and pass the validator; a CLAP run must have read its
+    trackers with a replay pending."""
+    from repro.sim.runner import run_workload
+
+    def build(*args, **kwargs):
+        machine = Machine(*args, **kwargs)
+        for name in ("rt_ratio", "shootdown"):
+            method = getattr(machine, name)
+
+            def spy(*a, _method=method, _name=name, _machine=machine):
+                pending = _machine.replay_drain is not None
+                out = _method(*a)
+                calls.append((_name, a, out, pending))
+                return out
+
+            setattr(machine, name, spy)
+        built.append(machine)
+        return machine
+
+    results, reads, trackers = {}, {}, {}
+    for engine in ENGINE_PAIR:
+        built, calls = [], []
+        with mock.patch("repro.sim.engine.Machine", side_effect=build):
+            results[engine] = run_workload(
+                spec, policy, seed=seed, engine=engine
+            )
+        (machine,) = built
+        validate_machine(machine).raise_if_failed()
+        reads[engine] = [call[:3] for call in calls]
+        trackers[engine] = [
+            (rt._clock, rt.evictions,
+             {a: (e.accesses, e.remotes, e.last_update)
+              for a, e in rt._table.items()})
+            for rt in machine.remote_trackers
+        ]
+        if engine == "batched" and policy == "CLAP":
+            assert any(c[0] == "rt_ratio" and c[3] for c in calls)
+    staged, batched = results["staged"], results["batched"]
+    assert batched == staged, "batched drifted from staged"
+    assert batched.to_dict() == staged.to_dict()
+    assert reads["batched"] == reads["staged"]
+    assert trackers["batched"] == trackers["staged"]
 
 
 @given(
